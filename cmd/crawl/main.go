@@ -1,7 +1,10 @@
 // Command crawl collects block history from a chain endpoint (such as one
 // served by cmd/chainsim) in reverse chronological order, reporting the
 // dataset characterization the paper's Figure 2 tabulates: block count,
-// transaction count and gzip-compressed size.
+// transaction count and gzip-compressed size. The compressed size is what
+// the archive writer put: the summed comp_bytes of the finalized segments
+// (without -archive the crawl tees into null://, which compresses and
+// discards).
 //
 // Blocks flow through the bounded stream API (collect.Stream) into a
 // decode/ingest pool (core.IngestStream), so fetching and measurement are
@@ -229,14 +232,17 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 		From: from, To: to,
 		Workers: o.workers, Buffer: o.buffer,
 	}
-	var sink *archive.Writer
-	if o.Archive != "" {
-		sink, err = archive.NewWriter(archive.WriterConfig{Dir: o.Archive, Chain: o.chain})
-		if err != nil {
-			return err
-		}
-		cfg.Tee = sink.Append
+	// Without -archive the tee goes to null://: nothing is kept, but the
+	// segments are still compressed, which is where "gzip bytes" comes from.
+	archiveDir := o.Archive
+	if archiveDir == "" {
+		archiveDir = "null://"
 	}
+	sink, err := archive.NewWriter(archive.WriterConfig{Dir: archiveDir, Chain: o.chain})
+	if err != nil {
+		return err
+	}
+	cfg.Tee = sink.Append
 	if o.checkpoint != "" {
 		cp, err := collect.LoadCheckpoint(o.checkpoint)
 		switch {
@@ -261,12 +267,11 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	// finalize were delivered and marked done, and checkpointing them
 	// would leave the archive short of them forever.
 	var archiveErr error
-	if sink != nil {
-		if cerr := sink.Close(); cerr != nil {
-			archiveErr = fmt.Errorf("finalizing archive: %w", cerr)
-			err = errors.Join(err, archiveErr)
-		}
+	if cerr := sink.Close(); cerr != nil {
+		archiveErr = fmt.Errorf("finalizing archive: %w", cerr)
+		err = errors.Join(err, archiveErr)
 	}
+	res.GzipBytes = sink.CompressedBytes()
 	interrupted := errors.Is(err, context.Canceled) && !errors.Is(err, core.ErrIngest) && archiveErr == nil
 	fmt.Fprintf(out, "chain:       %s\n", o.chain)
 	fmt.Fprintf(out, "blocks:      %d (failed %d, retries %d)\n", res.Blocks, res.Failed, res.Retries)
@@ -279,7 +284,7 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	if secs := res.Elapsed.Seconds(); secs > 0 {
 		fmt.Fprintf(out, "elapsed:     %v (%.0f blocks/s)\n", res.Elapsed, float64(res.Blocks)/secs)
 	}
-	if sink != nil {
+	if o.Archive != "" {
 		fmt.Fprintf(out, "archive:     %s (%d blocks teed, %d segments)\n", o.Archive, sink.Blocks(), sink.Segments())
 	}
 

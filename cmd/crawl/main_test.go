@@ -261,6 +261,11 @@ func TestCrawlArchiveReplayDeterminism(t *testing.T) {
 	if !rd.Covers(1, total) {
 		t.Fatalf("archive covers [%d, %d] of %d blocks", rd.From(), rd.To(), rd.Blocks())
 	}
+	// "gzip bytes" is what the archive holds: the manifest's comp_bytes.
+	comp, ok := rd.CompressedBytes()
+	if want := fmt.Sprintf("gzip bytes:  %d (", comp); !ok || !strings.Contains(out.String(), want) {
+		t.Fatalf("live crawl output lacks %q:\n%s", want, out.String())
+	}
 	s.reset()
 	kit, err := core.NewStatsKit("eos", chain.ObservationStart, 6*time.Hour)
 	if err != nil {

@@ -159,6 +159,84 @@ func TestWriterAppendsAcrossSessions(t *testing.T) {
 	}
 }
 
+// TestCompressedBytesMatchesManifest: Figure 2's compressed size is what
+// the writer committed — the manifest's summed comp_bytes — on a real
+// store, on null:// where nothing is kept, and across a resumed session,
+// where reader (earlier segments) plus writer (new ones) is the union.
+func TestCompressedBytesMatchesManifest(t *testing.T) {
+	ctx := context.Background()
+	mem := blobstore.NewMemory()
+	w1, err := NewWriter(WriterConfig{Store: mem, Chain: "eos", SegmentBlocks: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw int64
+	for num := int64(40); num > 20; num-- {
+		raw += int64(len(payload(num)))
+		if err := w1.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := loadManifest(ctx, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum int64
+	for _, seg := range m.Segments {
+		sum += seg.CompBytes
+	}
+	if len(m.Segments) < 2 || w1.CompressedBytes() != sum {
+		t.Fatalf("writer compressed %d bytes, manifest sums %d over %d segments", w1.CompressedBytes(), sum, len(m.Segments))
+	}
+	r1, err := OpenWith("", OpenOptions{Store: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r1.CompressedBytes(); !ok || got != sum {
+		t.Fatalf("reader compressed = %d (ok %v), want %d", got, ok, sum)
+	}
+
+	// The resumed session counts only what it finalized itself.
+	w2, err := NewWriter(WriterConfig{Store: mem, Chain: "eos", SegmentBlocks: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := int64(20); num >= 1; num-- {
+		if err := w2.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	union, err := OpenWith("", OpenOptions{Store: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := union.CompressedBytes(); !ok || got != sum+w2.CompressedBytes() || w2.CompressedBytes() <= 0 {
+		t.Fatalf("union compressed = %d (ok %v), want %d + %d", got, ok, sum, w2.CompressedBytes())
+	}
+
+	null, err := NewWriter(WriterConfig{Dir: "null://", Chain: "eos", SegmentBlocks: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := int64(40); num > 20; num-- {
+		if err := null.Append(num, payload(num)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := null.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := null.CompressedBytes(); got != sum || got <= 0 || got >= raw {
+		t.Fatalf("null:// compressed %d bytes of %d raw, want %d", got, raw, sum)
+	}
+}
+
 // TestDuplicateRecordsDedupe: a crawl cancelled between the tee and the
 // stream delivery re-archives the block on resume; replay keeps the first
 // copy and still counts it once.

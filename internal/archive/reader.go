@@ -312,6 +312,21 @@ func (r *Reader) Chain() string { return r.man.Chain }
 // full open, the covering subset for a ranged one).
 func (r *Reader) Segments() int { return len(r.covering) }
 
+// CompressedBytes sums comp_bytes over the segments this open reads: the
+// compressed size of what it replays, matching what the Writer that
+// produced them reported. ok is false when any covering segment predates
+// comp_bytes (a v1 manifest), because a partial sum would understate it.
+func (r *Reader) CompressedBytes() (n int64, ok bool) {
+	for _, i := range r.covering {
+		c := r.man.Segments[i].CompBytes
+		if c <= 0 {
+			return 0, false
+		}
+		n += c
+	}
+	return n, true
+}
+
 // Blocks counts the distinct archived block numbers in this open's range.
 func (r *Reader) Blocks() int64 { return int64(len(r.index)) }
 

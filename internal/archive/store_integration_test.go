@@ -129,6 +129,9 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	if r.Blocks() != 20 || !r.Covers(1, 20) {
 		t.Fatalf("v1 archive coverage: blocks=%d [%d,%d]", r.Blocks(), r.From(), r.To())
 	}
+	if n, ok := r.CompressedBytes(); ok {
+		t.Fatalf("v1 archive reported compressed size %d; it has none", n)
+	}
 	rr, err := OpenRange(dir, 6, 10)
 	if err != nil {
 		t.Fatalf("v1 manifest failed to range-open: %v", err)
@@ -160,8 +163,21 @@ func TestV1ManifestBackCompat(t *testing.T) {
 	if last := m.Segments[len(m.Segments)-1]; last.CompBytes <= 0 {
 		t.Fatalf("new segment lacks comp_bytes: %+v", last)
 	}
-	if r3, err := Open(dir); err != nil || !r3.Covers(1, 25) {
+	r3, err := Open(dir)
+	if err != nil || !r3.Covers(1, 25) {
 		t.Fatalf("upgraded archive: %v", err)
+	}
+	// The compressed size stays unknown while any v1 segment is read —
+	// never a partial sum — and is known for the v2 segments alone.
+	if n, ok := r3.CompressedBytes(); ok {
+		t.Fatalf("mixed v1/v2 archive reported compressed size %d", n)
+	}
+	r4, err := OpenRange(dir, 21, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, ok := r4.CompressedBytes(); !ok || n != w.CompressedBytes() {
+		t.Fatalf("v2 segment compressed = %d (ok %v), want %d", n, ok, w.CompressedBytes())
 	}
 }
 

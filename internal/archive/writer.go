@@ -65,6 +65,7 @@ type Writer struct {
 	next   int // next segment file number
 	cur    *openSegment
 	blocks int64 // records across finalized + open segments this session
+	comp   int64 // comp_bytes of segments this session finalized
 	fail   error // sticky: first store failure, poisons the writer
 	closed bool
 }
@@ -242,6 +243,7 @@ func (w *Writer) rotateLocked() error {
 		w.fail = err
 		return err
 	}
+	w.comp += seg.info.CompBytes
 	return nil
 }
 
@@ -279,6 +281,16 @@ func (w *Writer) Blocks() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.blocks
+}
+
+// CompressedBytes sums comp_bytes over the segments this writer finalized
+// and committed to the manifest — the compressed size of what it archived,
+// not counting segments inherited from an earlier session. Segments still
+// open are finalized by Close, so read it after Close for the full total.
+func (w *Writer) CompressedBytes() int64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.comp
 }
 
 // Segments reports how many finalized segments the manifest holds.

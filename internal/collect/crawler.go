@@ -62,9 +62,13 @@ type CrawlConfig struct {
 
 // CrawlResult summarizes a finished crawl.
 type CrawlResult struct {
-	Blocks    int64
-	Failed    int64
-	RawBytes  int64
+	Blocks   int64
+	Failed   int64
+	RawBytes int64
+	// GzipBytes is the crawl's compressed size (the paper's Figure 2
+	// dataset size). collect never fills it: callers that tee into an
+	// archive set it from archive.Writer.CompressedBytes, or from
+	// archive.Reader.CompressedBytes on replay. Negative means unknown.
 	GzipBytes int64
 	Elapsed   time.Duration
 	Retries   int64

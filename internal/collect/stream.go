@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
@@ -319,8 +318,6 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	resumed.Extra = append(resumed.Extra, h.ivs...)
 	h.mu.Unlock()
 
-	sizer := stats.NewGzipSizer()
-	defer sizer.Close() // recycle the pooled compressor
 	// Payload buffers recycle only when the fetcher guarantees exclusive
 	// ownership of what FetchBlock returns.
 	var recycle bool
@@ -365,13 +362,6 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 						return
 					}
 				}
-				// The sizer must see the payload before delivery: once the
-				// consumer has the Block it may Release the buffer back to
-				// the pool at any moment. A cancellation between here and
-				// the send can therefore leave GzipBytes counting a block
-				// Blocks/RawBytes do not — progress-line accounting only;
-				// the deterministic figures never read GzipBytes.
-				sizer.Write(raw)
 				select {
 				case out <- Block{Num: num, Raw: raw, pooled: recycle}:
 					atomic.AddInt64(&h.res.Blocks, 1)
@@ -385,7 +375,6 @@ func (h *CrawlHandle) run(ctx context.Context, f BlockFetcher, cfg CrawlConfig, 
 	}
 	wg.Wait()
 
-	h.res.GzipBytes = sizer.CompressedBytes()
 	err := firstErr.get()
 	if err == nil {
 		err = ctx.Err()

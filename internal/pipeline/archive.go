@@ -9,6 +9,7 @@ import (
 	"repro/internal/archive"
 	"repro/internal/blobstore"
 	"repro/internal/collect"
+	"repro/internal/core"
 )
 
 // stageArchiveDir is the per-stage archive location under Options.ArchiveDir
@@ -64,14 +65,15 @@ func (o Options) replayReader(stage, chain string, from, to int64) (rd *archive.
 		stage, dir, rd.From(), rd.To(), rd.Blocks(), from, to)
 }
 
-// archiveWriter opens the write-through archive for a live stage crawl
-// (nil when archiving is off). It is only called when replayReader
-// returned neither a reader nor an error, i.e. on a fresh archive
-// directory.
+// archiveWriter opens the write-through archive for a live stage crawl. It
+// is only called when replayReader returned neither a reader nor an
+// error, i.e. on a fresh archive directory. With archiving off it tees
+// into null://, which keeps nothing but still compresses every segment,
+// so Figure 2's compressed size is measured the same way either way.
 func (o Options) archiveWriter(stage, chain string) (*archive.Writer, error) {
 	dir := o.stageArchiveDir(stage)
 	if dir == "" {
-		return nil, nil
+		dir = "null://"
 	}
 	w, err := archive.NewWriter(archive.WriterConfig{Dir: dir, Chain: chain})
 	if err != nil {
@@ -80,60 +82,91 @@ func (o Options) archiveWriter(stage, chain string) (*archive.Writer, error) {
 	return w, nil
 }
 
-// finishArchive closes the write-through archive after a stage crawl,
-// joining a finalization failure with the crawl's own error so neither is
-// lost — a stage whose crawl failed AND whose archive could not finalize
-// must report both (the unfinalized archive is why the next run will
-// demand a recrawl).
-func finishArchive(w *archive.Writer, crawlErr error) error {
-	if w == nil {
-		return crawlErr
+// stageSource is where one stage's blocks come from and where Figure 2's
+// compressed size is read: a full replay reads rd alone, a live crawl
+// tees into sink, and a resume replays rd and tees the rest into sink.
+type stageSource struct {
+	fetcher collect.BlockFetcher
+	rd      *archive.Reader
+	sink    *archive.Writer
+}
+
+// crawl runs the stage's crawl, then finalizes its archive and fills
+// GzipBytes from it. A finalization failure joins the crawl's own error so
+// neither is lost — a stage whose crawl failed AND whose archive could not
+// finalize must report both (the unfinalized archive is why the next run
+// will demand a recrawl).
+func (s stageSource) crawl(ctx context.Context, ccfg collect.CrawlConfig, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
+	res, err := crawlInto(ctx, s.fetcher, ccfg, dec, icfg)
+	if s.sink != nil {
+		if cerr := s.sink.Close(); cerr != nil {
+			err = errors.Join(err, fmt.Errorf("pipeline: finalizing archive: %w", cerr))
+		}
 	}
-	if err := w.Close(); err != nil {
-		return errors.Join(crawlErr, fmt.Errorf("pipeline: finalizing archive: %w", err))
+	if err != nil {
+		return res, err
 	}
-	return crawlErr
+	res.GzipBytes = s.compressedBytes()
+	return res, nil
+}
+
+// compressedBytes is the stage archive's compressed size: the replayed
+// segments plus those this run finalized, so a live run, its resume and
+// a later replay of the same archive all report the manifest's total.
+// It is -1 (unknown) when a replayed segment predates comp_bytes.
+func (s stageSource) compressedBytes() int64 {
+	var n int64
+	if s.rd != nil {
+		c, ok := s.rd.CompressedBytes()
+		if !ok {
+			return -1
+		}
+		n = c
+	}
+	if s.sink != nil {
+		n += s.sink.CompressedBytes()
+	}
+	return n
 }
 
 // stageCollect resolves one stage's collection source: the archive replay
 // reader when the stage archive exactly covers [from, to], otherwise the
 // live fetcher built by live() — teed into a fresh write-through archive
-// when archiving is on, or composed with a partial archive (resume) so
-// only the missing blocks are fetched live. live() runs only when live
-// fetches are possible (a full replay skips serving and probing entirely)
-// and returns its own teardown; the caller must defer the returned
-// cleanup and pass the returned sink to finishArchive after the crawl.
-func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect.CrawlConfig, live func() (collect.BlockFetcher, func(), error)) (collect.BlockFetcher, *archive.Writer, func(), error) {
+// (null:// when archiving is off), or composed with a partial archive
+// (resume) so only the missing blocks are fetched live. live() runs only
+// when live fetches are possible (a full replay skips serving and probing
+// entirely) and returns its own teardown; the caller must defer the
+// returned cleanup and run the crawl through the source's crawl method,
+// which finalizes the archive.
+func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect.CrawlConfig, live func() (collect.BlockFetcher, func(), error)) (stageSource, func(), error) {
 	noop := func() {}
 	rd, partial, err := o.replayReader(stage, chain, from, to)
 	if err != nil {
-		return nil, nil, noop, err
+		return stageSource{}, noop, err
 	}
 	if rd != nil && !partial {
-		return rd, nil, noop, nil
+		return stageSource{fetcher: rd, rd: rd}, noop, nil
 	}
 	fetcher, cleanup, err := live()
 	if cleanup == nil {
 		cleanup = noop
 	}
 	if err != nil {
-		return nil, nil, cleanup, err
+		return stageSource{}, cleanup, err
 	}
 	sink, err := o.archiveWriter(stage, chain)
 	if err != nil {
-		return nil, nil, cleanup, err
+		return stageSource{}, cleanup, err
 	}
 	if rd != nil {
 		// Crash recovery: archived blocks replay from storage, the rest
 		// fetch live and are teed by the composite itself — never through
 		// ccfg.Tee, which would re-archive the replayed blocks too and
 		// duplicate them in the manifest.
-		return &resumeFetcher{rd: rd, live: fetcher, sink: sink}, sink, cleanup, nil
+		return stageSource{fetcher: &resumeFetcher{rd: rd, live: fetcher, sink: sink}, rd: rd, sink: sink}, cleanup, nil
 	}
-	if sink != nil {
-		ccfg.Tee = sink.Append
-	}
-	return fetcher, sink, cleanup, nil
+	ccfg.Tee = sink.Append
+	return stageSource{fetcher: fetcher, sink: sink}, cleanup, nil
 }
 
 // resumeFetcher extends an interrupted stage's archive: blocks the
@@ -157,10 +190,8 @@ func (f *resumeFetcher) FetchBlock(ctx context.Context, num int64) ([]byte, erro
 	if err != nil {
 		return nil, err
 	}
-	if f.sink != nil {
-		if err := f.sink.Append(num, raw); err != nil {
-			return nil, err
-		}
+	if err := f.sink.Append(num, raw); err != nil {
+		return nil, err
 	}
 	return raw, nil
 }

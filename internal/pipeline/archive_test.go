@@ -2,11 +2,14 @@ package pipeline
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/archive"
+	"repro/internal/collect"
 	"repro/internal/core"
 )
 
@@ -72,6 +75,7 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 	// stream (endpoint probing is legitimately absent from a replay).
 	renderers := map[string]func(*Result) string{
 		"Figure1":     Figure1,
+		"Figure2":     Figure2,
 		"Figure3":     Figure3,
 		"Figure4":     Figure4,
 		"Figure5":     Figure5,
@@ -145,5 +149,61 @@ func TestPipelineArchiveRangeMismatchFails(t *testing.T) {
 	_, err = Run(context.Background(), opts)
 	if err == nil || !strings.Contains(err.Error(), `holds chain "tezos"`) {
 		t.Fatalf("chain mismatch not rejected: %v", err)
+	}
+}
+
+// TestStageReplayV1ArchiveSizeUnknown: a v1 manifest records no
+// comp_bytes, so a replay of it reports Figure 2's size as unknown ("-"),
+// never as a partial or zero sum.
+func TestStageReplayV1ArchiveSizeUnknown(t *testing.T) {
+	dir := t.TempDir()
+	w, err := archive.NewWriter(archive.WriterConfig{Dir: filepath.Join(dir, "eos"), Chain: "eos", SegmentBlocks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for num := int64(1); num <= 5; num++ {
+		if err := w.Append(num, []byte(`{"block_num":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the manifest as the v1 writer laid it down.
+	path := filepath.Join(dir, "eos", "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m archive.Manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Version = 1
+	for i := range m.Segments {
+		m.Segments[i].CompBytes = 0
+	}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := archiveTestOptions(dir)
+	ccfg := collect.CrawlConfig{From: 1, To: 5}
+	src, cleanup, err := opts.stageCollect("eos", "eos", 1, 5, &ccfg, func() (collect.BlockFetcher, func(), error) {
+		t.Fatal("full v1 archive still built a live fetcher")
+		return nil, nil, nil
+	})
+	defer cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := src.compressedBytes(); n != -1 {
+		t.Fatalf("v1 replay compressed size = %d, want -1 (unknown)", n)
+	}
+	if cell := sizeCell(src.compressedBytes()); cell != "-" {
+		t.Fatalf("unknown size renders as %q", cell)
 	}
 }

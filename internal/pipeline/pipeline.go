@@ -322,7 +322,7 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
 		MaxRetries: 8, Backoff: 5 * time.Millisecond,
 	}
-	fetcher, sink, cleanup, err := opts.stageCollect("eos", "eos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err := opts.stageCollect("eos", "eos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		// Live crawl: expose several endpoints with varying generosity,
 		// probe them, and crawl through the shortlist — the paper's §3.1
 		// methodology. A replay skips all of it: the archive is the
@@ -381,8 +381,8 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.EOS = agg
@@ -404,7 +404,7 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 		From: 1, To: to,
 		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
 	}
-	fetcher, sink, cleanup, err := opts.stageCollect("tezos", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err := opts.stageCollect("tezos", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		url, stop, err := serve(rpcserve.NewTezosServer(scenario.Chain))
 		if err != nil {
 			return nil, nil, err
@@ -423,8 +423,8 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.Tezos = agg
@@ -446,7 +446,7 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 		From: 1, To: to,
 		Workers: opts.Workers, Pool: pool, Buffer: opts.Buffer,
 	}
-	fetcher, sink, cleanup, err := opts.stageCollect("governance", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err := opts.stageCollect("governance", "tezos", 1, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		url, stop, err := serve(rpcserve.NewTezosServer(g.Chain))
 		if err != nil {
 			return nil, nil, err
@@ -469,8 +469,8 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	r.Gov = agg
@@ -510,7 +510,7 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 		Pool:    pool,
 		Buffer:  opts.Buffer,
 	}
-	fetcher, sink, cleanup, err := opts.stageCollect("xrp", "xrp", from, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err := opts.stageCollect("xrp", "xrp", from, to, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		// The ledger API over WebSocket.
 		wsURL, stopWS, err := serve(rpcserve.NewXRPServer(scenario.State))
 		if err != nil {
@@ -533,8 +533,8 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := crawlInto(ctx, fetcher, ccfg, dec, opts.ingestConfig())
-	if err = finishArchive(sink, err); err != nil {
+	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	if err != nil {
 		return StageStats{}, err
 	}
 	// Pull trade records from the Data API, as the paper did for rates.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 	"time"
@@ -74,24 +75,34 @@ func sortedCounts(m map[string]int64) []countRow {
 }
 
 // Figure2 renders the dataset characterization, scaled and extrapolated.
+// Its gzip bytes are the stage archive's compressed segment bytes; "-"
+// marks a replayed archive too old to record them.
 func Figure2(r *Result) string {
 	out := "Figure 2 — Characterizing the datasets (scaled run; ×scale ≈ main net)\n"
 	out += table(func(w *tabwriter.Writer) {
 		fmt.Fprintln(w, "chain\tscale\tblocks\ttxs\tgzip bytes\tblocks ×scale\ttxs ×scale\tpaper blocks\tpaper txs")
-		fmt.Fprintf(w, "EOS\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t16,299,999\t376,819,512\n",
-			r.Opts.EOS.Scale, r.EOSCrawl.Blocks, r.EOS.Transactions, r.EOSCrawl.GzipBytes,
+		fmt.Fprintf(w, "EOS\t%d\t%d\t%d\t%s\t%.3g\t%.3g\t16,299,999\t376,819,512\n",
+			r.Opts.EOS.Scale, r.EOSCrawl.Blocks, r.EOS.Transactions, sizeCell(r.EOSCrawl.GzipBytes),
 			float64(r.EOSCrawl.Blocks)*float64(r.Opts.EOS.Scale),
 			float64(r.EOS.Transactions)*float64(r.Opts.EOS.Scale))
-		fmt.Fprintf(w, "Tezos\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t131,801\t3,345,019\n",
-			r.Opts.Tezos.Scale, r.TezosCrawl.Blocks, r.Tezos.Operations, r.TezosCrawl.GzipBytes,
+		fmt.Fprintf(w, "Tezos\t%d\t%d\t%d\t%s\t%.3g\t%.3g\t131,801\t3,345,019\n",
+			r.Opts.Tezos.Scale, r.TezosCrawl.Blocks, r.Tezos.Operations, sizeCell(r.TezosCrawl.GzipBytes),
 			float64(r.TezosCrawl.Blocks)*float64(r.Opts.Tezos.Scale),
 			float64(r.Tezos.Operations)*float64(r.Opts.Tezos.Scale))
-		fmt.Fprintf(w, "XRP\t%d\t%d\t%d\t%d\t%.3g\t%.3g\t2,031,069\t151,324,595\n",
-			r.Opts.XRP.Scale, r.XRPCrawl.Blocks, r.XRP.Transactions, r.XRPCrawl.GzipBytes,
+		fmt.Fprintf(w, "XRP\t%d\t%d\t%d\t%s\t%.3g\t%.3g\t2,031,069\t151,324,595\n",
+			r.Opts.XRP.Scale, r.XRPCrawl.Blocks, r.XRP.Transactions, sizeCell(r.XRPCrawl.GzipBytes),
 			float64(r.XRPCrawl.Blocks)*float64(r.Opts.XRP.Scale),
 			float64(r.XRP.Transactions)*float64(r.Opts.XRP.Scale))
 	})
 	return out
+}
+
+// sizeCell renders a byte count, or "-" when it is unknown (negative).
+func sizeCell(n int64) string {
+	if n < 0 {
+		return "-"
+	}
+	return strconv.FormatInt(n, 10)
 }
 
 // sparkline renders per-bucket totals as a compact ASCII series.

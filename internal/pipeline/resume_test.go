@@ -135,7 +135,7 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	strict := DefaultOptions()
 	strict.ArchiveDir = dir
 	ccfg := collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	if _, _, cleanup, err := strict.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	if _, cleanup, err := strict.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return client, nil, nil
 	}); err == nil || !strings.Contains(err.Error(), "delete the archive") {
 		cleanup()
@@ -146,17 +146,18 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	opts := strict
 	opts.ResumeArchives = true
 	ccfg = collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	fetcher, sink, cleanup, err := opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err := opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		return client, nil, nil
 	})
 	defer cleanup()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := crawlFigures(t, fetcher, ccfg)
-	if err := finishArchive(sink, nil); err != nil {
+	got := crawlFigures(t, src.fetcher, ccfg)
+	if err := src.sink.Close(); err != nil {
 		t.Fatal(err)
 	}
+	resumedGzip := src.compressedBytes()
 	if got != want {
 		t.Errorf("resumed figures differ from all-live crawl\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
@@ -174,7 +175,7 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	// The archive now covers everything: the next run is a pure replay.
 	fx.resetCounts()
 	ccfg = collect.CrawlConfig{From: 1, To: total, Workers: 2}
-	fetcher, sink, cleanup, err = opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
+	src, cleanup, err = opts.stageCollect("eos", "eos", 1, total, &ccfg, func() (collect.BlockFetcher, func(), error) {
 		t.Fatal("full archive still built a live fetcher")
 		return nil, nil, nil
 	})
@@ -182,10 +183,14 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink != nil {
+	if src.sink != nil {
 		t.Fatal("pure replay opened a write-through archive")
 	}
-	if got := crawlFigures(t, fetcher, ccfg); got != want {
+	// Figure 2: the resume's reader + writer total is the replay's.
+	if replayGzip := src.compressedBytes(); resumedGzip <= 0 || replayGzip != resumedGzip {
+		t.Errorf("compressed size: resumed run %d, replay %d", resumedGzip, replayGzip)
+	}
+	if got := crawlFigures(t, src.fetcher, ccfg); got != want {
 		t.Errorf("replay figures differ from all-live crawl\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	fx.mu.Lock()

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -31,16 +30,5 @@ func BenchmarkGini(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = Gini(xs)
-	}
-}
-
-func BenchmarkGzipSizer(b *testing.B) {
-	block := bytes.Repeat([]byte(`{"kind":"endorsement","slots":3}`), 32)
-	s := NewGzipSizer()
-	b.SetBytes(int64(len(block)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Write(block)
 	}
 }

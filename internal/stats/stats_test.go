@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -183,38 +182,6 @@ func TestTopShare(t *testing.T) {
 	}
 	if TopShare(nil, 3) != 0 {
 		t.Fatal("empty TopShare should be 0")
-	}
-}
-
-func TestGzipSizerCompresses(t *testing.T) {
-	s := NewGzipSizer()
-	block := bytes.Repeat([]byte(`{"type":"transfer","from":"alice","to":"bob"}`), 1000)
-	if _, err := s.Write(block); err != nil {
-		t.Fatal(err)
-	}
-	if s.RawBytes() != int64(len(block)) {
-		t.Fatalf("raw bytes = %d", s.RawBytes())
-	}
-	compressed, err := s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compressed <= 0 || compressed >= int64(len(block)) {
-		t.Fatalf("compressed %d of %d raw bytes: repetitive JSON should shrink", compressed, len(block))
-	}
-}
-
-func TestGzipSizerIncrementalRead(t *testing.T) {
-	s := NewGzipSizer()
-	s.Write(bytes.Repeat([]byte("abc"), 100))
-	first := s.CompressedBytes()
-	if first <= 0 {
-		t.Fatal("flush reported zero bytes")
-	}
-	s.Write(bytes.Repeat([]byte("xyz"), 10000))
-	second := s.CompressedBytes()
-	if second <= first {
-		t.Fatalf("compressed size did not grow: %d then %d", first, second)
 	}
 }
 

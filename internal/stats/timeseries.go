@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the measurement
 // pipeline relies on: time-bucketed counters (the paper plots throughput per
-// six hours), streaming moments, percentiles and gzip storage accounting.
+// six hours), streaming moments, percentiles and regime detection.
 package stats
 
 import (
