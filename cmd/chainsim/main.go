@@ -103,7 +103,12 @@ func main() {
 			fail(err)
 		}
 		go func() {
-			if err := (&http.Server{Handler: h}).Serve(ln); err != http.ErrServerClosed {
+			srv := &http.Server{
+				Handler:           h,
+				ReadHeaderTimeout: rpcserve.ReadHeaderTimeout,
+				MaxHeaderBytes:    rpcserve.MaxHeaderBytes,
+			}
+			if err := srv.Serve(ln); err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "chainsim: %s server: %v\n", name, err)
 			}
 		}()

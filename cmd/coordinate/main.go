@@ -67,6 +67,7 @@ import (
 	"repro/internal/coord"
 	"repro/internal/core"
 	"repro/internal/retry"
+	"repro/internal/rpcserve"
 )
 
 // workerEnv carries a worker invocation's whole configuration from the
@@ -265,7 +266,11 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		if lerr != nil {
 			return fmt.Errorf("progress listener: %w", lerr)
 		}
-		srv := &http.Server{Handler: coord.NewProgressHandler(tracker)}
+		srv := &http.Server{
+			Handler:           coord.NewProgressHandler(tracker),
+			ReadHeaderTimeout: rpcserve.ReadHeaderTimeout,
+			MaxHeaderBytes:    rpcserve.MaxHeaderBytes,
+		}
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		fmt.Fprintf(diag, "coordinate: progress at http://%s/v1/progress\n", ln.Addr())

@@ -47,6 +47,7 @@ import (
 	"repro/internal/collect"
 	"repro/internal/core"
 	"repro/internal/pipeline"
+	"repro/internal/rpcserve"
 	"repro/internal/serve"
 )
 
@@ -58,7 +59,6 @@ type serveOpts struct {
 	cli.ArchiveFlags
 	runPipeline bool
 	epoch       time.Duration
-	mergeEvery  int
 	workers     int
 	ingest      int
 	batch       int
@@ -78,7 +78,6 @@ func main() {
 	o.ArchiveFlags.Register(flag.CommandLine, cli.ModeServe)
 	flag.BoolVar(&o.runPipeline, "pipeline", false, "serve the full reproduction pipeline's stages as they crawl")
 	flag.DurationVar(&o.epoch, "epoch", 200*time.Millisecond, "snapshot publish interval")
-	flag.IntVar(&o.mergeEvery, "merge-every", 0, "ingest batches between shard merges (0 = default)")
 	flag.IntVar(&o.workers, "workers", 4, "concurrent fetchers per live feed (xrp uses 1)")
 	flag.IntVar(&o.ingest, "ingest", 2, "decode/ingest workers per feed")
 	flag.IntVar(&o.batch, "batch", 16, "blocks per ingest batch")
@@ -122,7 +121,11 @@ func run(ctx context.Context, o serveOpts, rawOut io.Writer) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: serve.NewHandler(pub)}
+	srv := &http.Server{
+		Handler:           serve.NewHandler(pub),
+		ReadHeaderTimeout: rpcserve.ReadHeaderTimeout,
+		MaxHeaderBytes:    rpcserve.MaxHeaderBytes,
+	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
 	baseURL := "http://" + ln.Addr().String()
@@ -240,8 +243,7 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 		go func(i int, dir string, rd *archive.Reader) {
 			defer wg.Done()
 			n, ferr := pub.FeedArchive(ctx, rd, serve.FeedConfig{
-				MergeEvery: o.mergeEvery,
-				Ingest:     core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+				Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
 			})
 			if ferr != nil {
 				errs[i] = fmt.Errorf("replaying %s: %w", dir, ferr)
@@ -289,9 +291,8 @@ func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName,
 	}
 
 	res, err := pub.Feed(ctx, fetcher, ccfg, serve.FeedConfig{
-		Chain:      chainName,
-		MergeEvery: o.mergeEvery,
-		Ingest:     core.IngestConfig{Workers: o.ingest, Batch: o.batch},
+		Chain:  chainName,
+		Ingest: core.IngestConfig{Workers: o.ingest, Batch: o.batch},
 	})
 	if sink != nil {
 		if cerr := sink.Close(); cerr != nil {

@@ -30,7 +30,7 @@ func main() {
 	agg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	for i := scenario.SetupLedgers + 1; i <= scenario.State.HeadIndex(); i++ {
 		led := rpcserve.XRPLedgerToJSON(scenario.State.GetLedger(i), true)
-		if err := agg.IngestLedger(&led); err != nil {
+		if err := agg.IngestBatch([]any{&led}); err != nil {
 			panic(err)
 		}
 	}

@@ -327,6 +327,17 @@ func (r *Reader) CompressedBytes() (n int64, ok bool) {
 	return n, true
 }
 
+// RawBytes sums the payload lengths of the distinct archived blocks in
+// this open's range: the raw bytes the crawl that wrote them fetched, so a
+// replay reports the same uncompressed size as that live crawl.
+func (r *Reader) RawBytes() int64 {
+	var n int64
+	for _, ref := range r.index {
+		n += int64(ref.n)
+	}
+	return n
+}
+
 // Blocks counts the distinct archived block numbers in this open's range.
 func (r *Reader) Blocks() int64 { return int64(len(r.index)) }
 

@@ -35,9 +35,11 @@ func ascendingArchive(t *testing.T, location string, st blobstore.Store, n int64
 // manifest plus exactly the segments whose [min, max] covers the range —
 // never the rest of the archive.
 func TestOpenRangeFetchesOnlyCoveringSegments(t *testing.T) {
-	const url = "mem://range-counter"
+	// A fresh store per run: a named one would still hold the previous
+	// run's archive under -count=2.
+	mem := blobstore.NewMemory()
+	url := mem.URL()
 	ascendingArchive(t, url, nil, 64, 8) // 8 segments: [1,8], [9,16], …, [57,64]
-	mem := blobstore.OpenMemory("range-counter")
 
 	// [17, 24] sits inside exactly one segment.
 	mem.ResetOps()
@@ -190,7 +192,7 @@ func TestCrossBackendIdenticalSegments(t *testing.T) {
 	defer stub.Close()
 	locations := map[string]string{
 		"file": t.TempDir(),
-		"mem":  "mem://cross-backend",
+		"mem":  blobstore.NewMemory().URL(), // fresh per run, unlike a named store
 		"s3":   stub.URL("bkt", "cross"),
 	}
 	manifests := make(map[string]Manifest)

@@ -108,9 +108,9 @@ type EOSShard struct {
 
 // EOSAggregator ingests crawled EOS blocks and accumulates every statistic
 // the paper reports for EOS (Figures 1, 2, 3a, 4, 5 and the §4.1 case
-// studies). It is a thin locked wrapper around one EOSShard; concurrent
-// writers either share it (IngestBlocks batches under the lock) or fold
-// into private shards from NewShard and MergeShard once at drain.
+// studies). It is one EOSShard behind the lock the serve boundary needs:
+// ingest workers fold into private shards from NewState and hand them back
+// through MergeState, while readers summarize under the same lock.
 type EOSAggregator struct {
 	mu sync.Mutex
 	EOSShard
@@ -168,10 +168,10 @@ func (s *EOSShard) init(origin time.Time, bucket time.Duration) {
 	s.VolumeBySymbol = make(map[string]float64)
 }
 
-// NewShard spawns an empty shard sharing the aggregator's read-only
-// classification tables and series geometry. The caller owns it exclusively
-// until MergeShard.
-func (a *EOSAggregator) NewShard() *EOSShard {
+// NewState spawns an empty shard sharing the aggregator's read-only
+// classification tables and series geometry, behind the chain-agnostic
+// ShardState contract. The caller owns it exclusively until MergeState.
+func (a *EOSAggregator) NewState() ShardState {
 	s := &EOSShard{
 		TokenContracts: a.TokenContracts,
 		ContractLabels: a.ContractLabels,
@@ -180,20 +180,6 @@ func (a *EOSAggregator) NewShard() *EOSShard {
 	s.init(a.Series.Origin(), a.Series.Width())
 	return s
 }
-
-// MergeShard folds a privately-owned shard into the aggregator under one
-// lock acquisition and resets it. Merging shards in any order yields the
-// same aggregate: every shard statistic is a sum, a count map, a time
-// bucket or an unordered record set.
-func (a *EOSAggregator) MergeShard(s *EOSShard) {
-	a.mu.Lock()
-	a.EOSShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the chain-agnostic ShardState
-// contract — what the ingest pool's generic shard sink consumes.
-func (a *EOSAggregator) NewState() ShardState { return a.NewShard() }
 
 // MergeState folds a ShardState produced by NewState (or decoded from a
 // shard blob with the same window) into the aggregator under its lock.
@@ -294,33 +280,6 @@ func eosBlockTime(s string) (time.Time, error) {
 	return time.Parse("2006-01-02T15:04:05.000", s)
 }
 
-// IngestBlock folds one crawled block into the aggregate. Safe for
-// concurrent use by crawl workers.
-func (a *EOSAggregator) IngestBlock(b *rpcserve.EOSBlockJSON) error {
-	return a.IngestBlocks([]*rpcserve.EOSBlockJSON{b})
-}
-
-// IngestBlocks folds a batch of blocks under a single lock acquisition,
-// amortizing mutex contention when many decode workers feed one aggregator.
-// Timestamps are parsed before the lock is taken; a malformed block fails
-// the whole batch without ingesting any of it.
-func (a *EOSAggregator) IngestBlocks(bs []*rpcserve.EOSBlockJSON) error {
-	times := make([]time.Time, len(bs))
-	for i, b := range bs {
-		ts, err := eosBlockTime(b.Timestamp)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range bs {
-		a.EOSShard.ingest(b, times[i])
-	}
-	return nil
-}
-
 // eosBatch asserts and pre-parses an ingest-pool batch: every element must
 // be the EOS Decode output type, and timestamps parse before any state is
 // touched, so a malformed block fails the whole batch without ingesting
@@ -355,20 +314,12 @@ func (s *EOSShard) IngestBatch(batch []any) error {
 	return nil
 }
 
-// IngestBatch folds a batch of decoded blocks into the aggregator, one
-// lock acquisition for the whole batch. Assertion and timestamp parsing
-// happen before the lock is taken.
+// IngestBatch folds a batch of decoded blocks into the aggregator under
+// its lock, one acquisition for the whole batch.
 func (a *EOSAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := eosBatch(batch)
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, b := range blocks {
-		a.EOSShard.ingest(b, times[i])
-	}
-	return nil
+	return a.EOSShard.IngestBatch(batch)
 }
 
 // ingest folds one block into the shard; the caller owns the shard (for an

@@ -45,12 +45,12 @@ func transfer(contract, from, to, qty string) rpcserve.EOSActionJSON {
 func TestEOSAggregatorFigure1Classification(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart.Add(time.Hour)
-	err := a.IngestBlock(eosBlock(1, ts,
+	err := a.IngestBatch([]any{eosBlock(1, ts,
 		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
 		[]rpcserve.EOSActionJSON{eosAction("eosio", "newaccount", "alice", map[string]string{"name": "carol"})},
 		[]rpcserve.EOSActionJSON{eosAction("eosio", "delegatebw", "alice", nil)},
 		[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
-	))
+	)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +77,14 @@ func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
 	for i := 0; i < 10; i++ {
-		a.IngestBlock(eosBlock(i+1, ts.Add(time.Duration(i)*time.Minute),
+		a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Minute),
 			[]rpcserve.EOSActionJSON{transfer("eosio.token", "mykeypostman", "bob", "1.0000 EOS")},
 			[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "removetask", "betdicegroup", nil)},
-		))
+		)})
 	}
-	a.IngestBlock(eosBlock(11, ts.Add(time.Hour),
+	a.IngestBatch([]any{eosBlock(11, ts.Add(time.Hour),
 		[]rpcserve.EOSActionJSON{eosAction("betdicetasks", "log", "betdicegroup", nil)},
-	))
+	)})
 
 	top := a.TopReceivers(2)
 	if len(top) != 2 {
@@ -109,7 +109,7 @@ func TestEOSAggregatorTopReceiversAndPairs(t *testing.T) {
 func TestEOSBoomerangDetection(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	// EIDOS mining tx: miner→contract, contract→miner (same qty), EIDOS leg.
-	a.IngestBlock(eosBlock(1, chain.ObservationStart,
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
 		[]rpcserve.EOSActionJSON{
 			transfer("eosio.token", "miner1", "eidosonecoin", "0.0001 EOS"),
 			transfer("eosio.token", "eidosonecoin", "miner1", "0.0001 EOS"),
@@ -117,7 +117,7 @@ func TestEOSBoomerangDetection(t *testing.T) {
 		},
 		// Ordinary transfer: not a boomerang.
 		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.0000 EOS")},
-	))
+	)})
 	if got := a.BoomerangTransactions(); got != 1 {
 		t.Fatalf("boomerangs = %d", got)
 	}
@@ -147,7 +147,7 @@ func TestEOSWashTradeAnalysis(t *testing.T) {
 			}),
 		})
 	}
-	a.IngestBlock(eosBlock(1, chain.ObservationStart, actions...))
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart, actions...)})
 
 	rep := AnalyzeWashTrades(a.Trades, 5)
 	if rep.TotalTrades != 100 {
@@ -190,14 +190,14 @@ func TestTPSEstimate(t *testing.T) {
 
 func TestEOSVolumeTracking(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	a.IngestBlock(eosBlock(1, chain.ObservationStart,
+	a.IngestBatch([]any{eosBlock(1, chain.ObservationStart,
 		[]rpcserve.EOSActionJSON{
 			transfer("eosio.token", "miner1", "eidosonecoin", "2.0000 EOS"),
 			transfer("eosio.token", "eidosonecoin", "miner1", "2.0000 EOS"),
 			transfer("eidosonecoin", "eidosonecoin", "miner1", "10.0000 EIDOS"),
 		},
 		[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "5.5000 EOS")},
-	))
+	)})
 	if got := a.VolumeBySymbol["EOS"]; got != 9.5 {
 		t.Fatalf("EOS volume = %f", got)
 	}

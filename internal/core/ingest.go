@@ -42,9 +42,10 @@ type Shard interface {
 }
 
 // ShardedDecoder is implemented by Decoders whose aggregator can hand out
-// mergeable shards. IngestStream and IngestArchive give each worker its own
-// shard, deleting the per-batch aggregator lock from the hot path: the only
-// lock acquisitions left are the per-worker merges at drain.
+// mergeable shards — all three chains' decoders, and the only kind
+// IngestStream and IngestArchive accept. Each worker folds into its own
+// shard, keeping the aggregator lock off the hot path: the only lock
+// acquisitions left are the per-worker merges.
 type ShardedDecoder interface {
 	Decoder
 	NewShard() Shard
@@ -206,21 +207,34 @@ func (d XRPDecoder) NewShard() Shard {
 	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
 }
 
-// IngestConfig sizes the decode/ingest pool behind IngestStream.
+// IngestConfig sizes the decode/ingest pool behind IngestStream and
+// IngestArchive.
 type IngestConfig struct {
-	// Workers is the number of decode goroutines (default 2). Decoding is
-	// the CPU-bound half of ingestion; it runs off the crawl workers so
-	// fetch concurrency and decode concurrency scale independently.
+	// Workers is the number of decode goroutines (IngestStream default 2,
+	// IngestArchive default one per CPU). Decoding is the CPU-bound half of
+	// ingestion; it runs off the crawl workers so fetch concurrency and
+	// decode concurrency scale independently.
 	Workers int
 	// Batch is how many decoded blocks each worker accumulates before one
-	// IngestBatch call — blocks per aggregator lock acquisition
-	// (default 16).
+	// fold into its shard, so arena structs recycle in bulk (default 16).
 	Batch int
+	// MergeEvery is how many batches each worker folds into its private
+	// shard between merges into the parent aggregator. 0 merges only at
+	// drain — one aggregator lock acquisition per worker per run. A
+	// positive value is the serving layer's mode: the aggregator absorbs
+	// epoch-sized deltas that a mid-run Summarize can snapshot, at one
+	// lock acquisition per worker per MergeEvery batches.
+	MergeEvery int
 }
 
-func (c IngestConfig) withDefaults() IngestConfig {
+// SnapshotMergeEvery is the MergeEvery of every ingest that feeds serving
+// snapshots (serve feeds and the pipeline's serving sink): deltas land in
+// the aggregator every 4 batches per worker.
+const SnapshotMergeEvery = 4
+
+func (c IngestConfig) withDefaults(workers int) IngestConfig {
 	if c.Workers <= 0 {
-		c.Workers = 2
+		c.Workers = workers
 	}
 	if c.Batch <= 0 {
 		c.Batch = 16
@@ -228,13 +242,108 @@ func (c IngestConfig) withDefaults() IngestConfig {
 	return c
 }
 
+// ingestWorker is one pool goroutine's private ingest state — the one
+// worker loop behind both IngestStream and IngestArchive. It decodes each
+// block into a batch of cfg.Batch, folds the full batch into the worker's
+// own Shard without any lock, hands the decoded structs back through
+// ReleaseBatch, and merges the shard into the aggregator every MergeEvery
+// batches (if set).
+type ingestWorker struct {
+	dec      Decoder
+	rel      BatchReleaser
+	shard    Shard
+	batch    []any
+	every    int
+	unmerged int // batches folded since the last merge
+	ingested int64
+}
+
+// add decodes one raw payload into the worker's batch, folding the batch
+// into the shard once it is full. raw may be recycled as soon as add
+// returns: decoded structs own copies of everything they keep.
+func (w *ingestWorker) add(num int64, raw []byte) error {
+	dec, err := w.dec.Decode(num, raw)
+	if err != nil {
+		return fmt.Errorf("core: decoding block %d: %w", num, err)
+	}
+	w.batch = append(w.batch, dec)
+	if len(w.batch) < cap(w.batch) {
+		return nil
+	}
+	return w.flush()
+}
+
+// flush folds the pending batch into the worker's shard and recycles the
+// decoded structs (the shard kept only strings).
+func (w *ingestWorker) flush() error {
+	if len(w.batch) == 0 {
+		return nil
+	}
+	if err := w.shard.IngestBatch(w.batch); err != nil {
+		return err
+	}
+	w.ingested += int64(len(w.batch))
+	if w.rel != nil {
+		w.rel.ReleaseBatch(w.batch)
+	}
+	w.batch = w.batch[:0]
+	if w.every > 0 {
+		if w.unmerged++; w.unmerged >= w.every {
+			w.shard.Merge()
+			w.unmerged = 0
+		}
+	}
+	return nil
+}
+
+// ingestPool is one ingest run's workers, indexed by worker number.
+type ingestPool []ingestWorker
+
+// newIngestPool gives each of cfg.Workers workers its own shard. Only a
+// ShardedDecoder can feed the pool: per-worker shards are what keep the
+// aggregator lock off the hot path.
+func newIngestPool(d Decoder, cfg IngestConfig) (ingestPool, error) {
+	sharded, ok := d.(ShardedDecoder)
+	if !ok {
+		return nil, fmt.Errorf("core: decoder %T is not a ShardedDecoder", d)
+	}
+	rel, _ := d.(BatchReleaser)
+	pool := make(ingestPool, cfg.Workers)
+	for i := range pool {
+		pool[i] = ingestWorker{
+			dec:   d,
+			rel:   rel,
+			shard: sharded.NewShard(),
+			batch: make([]any, 0, cfg.Batch),
+			every: cfg.MergeEvery,
+		}
+	}
+	return pool, nil
+}
+
+// drain folds every worker's partial batch and merges the shards into the
+// aggregator in worker order — fixed, although workers finish in any
+// order, and shard merges are insensitive to which worker ingested which
+// block. It runs even after err, so a failed run still aggregates every
+// block it decoded. It returns the blocks ingested and err, or the first
+// flush error when err is nil.
+func (p ingestPool) drain(err error) (int64, error) {
+	var n int64
+	for i := range p {
+		if ferr := p[i].flush(); ferr != nil && err == nil {
+			err = ferr
+		}
+		p[i].shard.Merge()
+		n += p[i].ingested
+	}
+	return n, err
+}
+
 // IngestStream drains a crawl stream through a pool of cfg.Workers decode
-// goroutines. When the Decoder is a ShardedDecoder (all three chains), each
-// worker folds its blocks into a private shard — zero lock acquisitions on
-// the hot path — and the shards merge into the aggregator in worker order
-// once the stream drains; otherwise each worker batch-ingests under the
-// aggregator lock, cfg.Batch blocks per acquisition. It returns the number
-// of blocks ingested and the first decode/ingest error.
+// goroutines, each folding its blocks into a private shard (see
+// ingestWorker) that merges into the aggregator at drain, or every
+// cfg.MergeEvery batches. d must be a ShardedDecoder. It returns the
+// number of blocks ingested and the first decode/ingest error.
 //
 // Cancellation is driven by the stream itself: when ctx is cancelled the
 // crawl workers stop and close the channel, and IngestStream deliberately
@@ -246,159 +355,47 @@ func (c IngestConfig) withDefaults() IngestConfig {
 // workers behind a full buffer, and must not persist a checkpoint taken
 // after the error (the pipeline's stage helper and cmd/crawl do both).
 func IngestStream(ctx context.Context, blocks <-chan collect.Block, d Decoder, cfg IngestConfig) (int64, error) {
-	cfg = cfg.withDefaults()
+	pool, err := newIngestPool(d, cfg.withDefaults(2))
+	if err != nil {
+		return 0, err
+	}
 	var (
-		ingested int64
 		wg       sync.WaitGroup
-		firstErr atomic.Value
 		failed   atomic.Bool
+		errOnce  sync.Once
+		firstErr error
 	)
-	sharded, _ := d.(ShardedDecoder)
-	// Per-worker shards, merged below in worker order — the merge order is
-	// fixed even though workers finish in any order, so the only scheduling
-	// freedom left is which worker ingested which block, and shard merges
-	// are insensitive to exactly that.
-	shards := make([]Shard, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	fail := func(err error) {
+		errOnce.Do(func() { firstErr = err })
+		failed.Store(true)
+	}
+	for w := range pool {
 		wg.Add(1)
-		go func(w int) {
+		go func(w *ingestWorker) {
 			defer wg.Done()
-			sink := Decoder(d)
-			if sharded != nil {
-				shard := sharded.NewShard()
-				shards[w] = shard
-				sink = shardDecoder{d, shard}
-			}
-			releaser, _ := d.(BatchReleaser)
-			batch := make([]any, 0, cfg.Batch)
-			flush := func() error {
-				if len(batch) == 0 {
-					return nil
-				}
-				if err := sink.IngestBatch(batch); err != nil {
-					return err
-				}
-				atomic.AddInt64(&ingested, int64(len(batch)))
-				// The aggregator kept only strings; the decoded structs go
-				// back to the arena for the next batch.
-				if releaser != nil {
-					releaser.ReleaseBatch(batch)
-				}
-				batch = batch[:0]
-				return nil
-			}
 			for blk := range blocks {
 				if failed.Load() {
 					blk.Release()
 					return
 				}
-				dec, err := d.Decode(blk.Num, blk.Raw)
-				// Decoded structs own copies of everything they keep, so
-				// the raw payload buffer recycles immediately.
+				err := w.add(blk.Num, blk.Raw)
 				blk.Release()
 				if err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("core: decoding block %d: %w", blk.Num, err))
-					failed.Store(true)
+					fail(err)
 					return
 				}
-				batch = append(batch, dec)
-				if len(batch) >= cfg.Batch {
-					if err := flush(); err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						failed.Store(true)
-						return
-					}
-				}
 			}
-			if err := flush(); err != nil {
-				firstErr.CompareAndSwap(nil, err)
-				failed.Store(true)
+			// Fold the last partial batch here, in parallel with the other
+			// workers: short streams (checkpoint-sized chunks) may never
+			// fill a batch, and drain folds serially.
+			if err := w.flush(); err != nil {
+				fail(err)
 			}
-		}(w)
+		}(&pool[w])
 	}
 	wg.Wait()
-	// Merge even after an error: batches already folded into shards mirror
-	// batches the locked path would already have applied, so the partial
-	// aggregate looks the same either way.
-	for _, s := range shards {
-		if s != nil {
-			s.Merge()
-		}
-	}
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return atomic.LoadInt64(&ingested), err
-	}
-	return atomic.LoadInt64(&ingested), nil
+	return pool.drain(firstErr)
 }
-
-// PeriodicMerge wraps a sharded decoder so each ingest worker's private
-// shard folds into the parent aggregator every `batches` IngestBatch calls
-// instead of only at drain. MergeShard resets the source shard, so the
-// worker keeps reusing it; between merges the hot path stays lock-free.
-// This is the serving layer's ingest mode: the aggregator continuously
-// absorbs epoch-sized deltas that SummarizeEOS and friends can snapshot
-// mid-crawl, at a cost of one lock acquisition per worker per `batches`
-// batches rather than one per worker per stream. A non-sharded decoder is
-// returned unchanged (its locked batch path is already continuous).
-func PeriodicMerge(d Decoder, batches int) Decoder {
-	sharded, ok := d.(ShardedDecoder)
-	if !ok {
-		return d
-	}
-	if batches <= 0 {
-		batches = 4
-	}
-	return periodicDecoder{Decoder: d, sharded: sharded, every: batches}
-}
-
-type periodicDecoder struct {
-	Decoder
-	sharded ShardedDecoder
-	every   int
-}
-
-func (p periodicDecoder) NewShard() Shard {
-	return &periodicShard{inner: p.sharded.NewShard(), every: p.every}
-}
-
-// ReleaseBatch delegates to the wrapped decoder's arena recycling (if any);
-// the wrapper must keep satisfying BatchReleaser or the ingest pool would
-// silently stop recycling decoded structs.
-func (p periodicDecoder) ReleaseBatch(batch []any) {
-	if r, ok := p.Decoder.(BatchReleaser); ok {
-		r.ReleaseBatch(batch)
-	}
-}
-
-// periodicShard counts batches and merges the wrapped shard into its
-// aggregator every `every` batches. Merge resets the inner shard, so it
-// remains the worker's accumulator for the next epoch.
-type periodicShard struct {
-	inner    Shard
-	every, n int
-}
-
-func (s *periodicShard) IngestBatch(batch []any) error {
-	if err := s.inner.IngestBatch(batch); err != nil {
-		return err
-	}
-	if s.n++; s.n >= s.every {
-		s.inner.Merge()
-		s.n = 0
-	}
-	return nil
-}
-
-func (s *periodicShard) Merge() { s.inner.Merge() }
-
-// shardDecoder routes a worker's IngestBatch calls to its private shard
-// while delegating Decode to the shared decoder.
-type shardDecoder struct {
-	Decoder
-	shard Shard
-}
-
-func (s shardDecoder) IngestBatch(batch []any) error { return s.shard.IngestBatch(batch) }
 
 // ErrIngest marks errors that came from the decode/ingest side of
 // IngestCrawl rather than the crawl itself. Callers that persist

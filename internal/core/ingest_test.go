@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -95,28 +96,60 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 	}
 }
 
-// countingDecoder wraps a Decoder and records batch sizes.
+// countingDecoder wraps a ShardedDecoder and records what its shards see:
+// every batch folded in, every merge, and (through observe) the
+// aggregate's size right after each merge.
 type countingDecoder struct {
-	inner   Decoder
+	ShardedDecoder
+	observe func() int64 // nil: record no sizes
+
 	mu      sync.Mutex
 	batches []int
+	shards  []*countingShard
+	merged  []int64 // observe() after each merge, in merge order
 }
 
-func (d *countingDecoder) Decode(num int64, raw []byte) (any, error) { return d.inner.Decode(num, raw) }
-
-func (d *countingDecoder) IngestBatch(batch []any) error {
+func (d *countingDecoder) NewShard() Shard {
+	s := &countingShard{inner: d.ShardedDecoder.NewShard(), d: d}
 	d.mu.Lock()
-	d.batches = append(d.batches, len(batch))
+	d.shards = append(d.shards, s)
 	d.mu.Unlock()
-	return d.inner.IngestBatch(batch)
+	return s
 }
 
-// TestIngestStreamBatches: lock acquisitions must be amortized — far fewer
+// countingShard is one worker's shard, counting its own batches and
+// merges (only its worker touches those fields).
+type countingShard struct {
+	inner           Shard
+	d               *countingDecoder
+	batches, merges int
+}
+
+func (s *countingShard) IngestBatch(batch []any) error {
+	s.batches++
+	s.d.mu.Lock()
+	s.d.batches = append(s.d.batches, len(batch))
+	s.d.mu.Unlock()
+	return s.inner.IngestBatch(batch)
+}
+
+func (s *countingShard) Merge() {
+	s.merges++
+	s.inner.Merge()
+	if s.d.observe != nil {
+		size := s.d.observe()
+		s.d.mu.Lock()
+		s.d.merged = append(s.d.merged, size)
+		s.d.mu.Unlock()
+	}
+}
+
+// TestIngestStreamBatches: shard folds must be amortized — far fewer
 // IngestBatch calls than blocks, and no batch above the configured cap.
 func TestIngestStreamBatches(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 1)
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := &countingDecoder{inner: EOSDecoder{Agg: agg}}
+	dec := &countingDecoder{ShardedDecoder: EOSDecoder{Agg: agg}}
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 32})
 	if _, err := IngestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
 		t.Fatal(err)
@@ -135,7 +168,7 @@ func TestIngestStreamBatches(t *testing.T) {
 		t.Fatalf("batches cover %d blocks, want 96", total)
 	}
 	if len(dec.batches) > 96/8 {
-		t.Fatalf("%d lock acquisitions for 96 blocks — batching is not amortizing", len(dec.batches))
+		t.Fatalf("%d shard batches for 96 blocks — batching is not amortizing", len(dec.batches))
 	}
 }
 
@@ -192,79 +225,131 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	}
 }
 
-// lockedDecoder hides EOSDecoder's NewShard so IngestStream takes the
-// legacy shared-aggregator path: every batch under the one mutex. It keeps
-// forwarding ReleaseBatch so both paths recycle arena structs identically.
-type lockedDecoder struct{ Decoder }
-
-func (d lockedDecoder) ReleaseBatch(batch []any) {
-	if r, ok := d.Decoder.(BatchReleaser); ok {
-		r.ReleaseBatch(batch)
-	}
-}
-
-// TestIngestStreamShardedMatchesLocked: the per-worker-shard path must
-// aggregate exactly like the locked path it replaced.
-func TestIngestStreamShardedMatchesLocked(t *testing.T) {
-	raws := makeEOSRawBlocks(t, 96, 3)
+// TestIngestMergeEvery: with MergeEvery m both entry points fold each
+// worker's shard into the aggregator every m batches — the aggregate grows
+// mid-run, which is what serving snapshots see — and once more at drain.
+// With MergeEvery 0 each shard merges exactly once, at drain, after every
+// block is in.
+func TestIngestMergeEvery(t *testing.T) {
+	const total, batch = 96, 4
+	raws := makeEOSRawBlocks(t, total, 1)
+	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
 	ctx := context.Background()
-	run := func(d func(*EOSAggregator) Decoder) *EOSAggregator {
-		agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 16})
-		n, err := IngestStream(ctx, blocks, d(agg), IngestConfig{Workers: 3, Batch: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := handle.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(raws)) {
-			t.Fatalf("ingested %d blocks, want %d", n, len(raws))
-		}
-		return agg
+	entries := map[string]func(Decoder, IngestConfig) (int64, error){
+		"stream": func(d Decoder, cfg IngestConfig) (int64, error) {
+			blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 8})
+			n, err := IngestStream(ctx, blocks, d, cfg)
+			if _, werr := handle.Wait(); werr != nil {
+				t.Fatal(werr)
+			}
+			return n, err
+		},
+		"archive": func(d Decoder, cfg IngestConfig) (int64, error) {
+			return IngestArchive(ctx, rd, d, cfg)
+		},
 	}
-	locked := run(func(a *EOSAggregator) Decoder { return lockedDecoder{EOSDecoder{Agg: a}} })
-	sharded := run(func(a *EOSAggregator) Decoder { return EOSDecoder{Agg: a} })
-	if lr, sr := SummarizeEOS(locked).Render(), SummarizeEOS(sharded).Render(); lr != sr {
-		t.Fatalf("sharded stream ingest diverged from locked\n--- locked ---\n%s\n--- sharded ---\n%s", lr, sr)
+	for name, ingest := range entries {
+		for _, workers := range []int{1, 3} {
+			for _, every := range []int{0, 3} {
+				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+				dec := &countingDecoder{ShardedDecoder: EOSDecoder{Agg: agg}, observe: func() int64 {
+					agg.mu.Lock()
+					defer agg.mu.Unlock()
+					return agg.Blocks
+				}}
+				n, err := ingest(dec, IngestConfig{Workers: workers, Batch: batch, MergeEvery: every})
+				if err != nil {
+					t.Fatalf("%s workers=%d every=%d: %v", name, workers, every, err)
+				}
+				if n != total || agg.Blocks != total {
+					t.Fatalf("%s workers=%d every=%d: ingested %d, aggregate holds %d blocks, want %d",
+						name, workers, every, n, agg.Blocks, total)
+				}
+				if len(dec.shards) != workers {
+					t.Fatalf("%s: %d shards for %d workers", name, len(dec.shards), workers)
+				}
+				for i, s := range dec.shards {
+					want := 1 // the drain merge
+					if every > 0 {
+						want += s.batches / every
+					}
+					if s.merges != want {
+						t.Errorf("%s workers=%d every=%d: shard %d merged %d times over %d batches, want %d",
+							name, workers, every, i, s.merges, s.batches, want)
+					}
+				}
+				// One worker sees every block, so its merges are
+				// deterministic: the first lands after every*batch blocks
+				// with MergeEvery set, after all of them without.
+				if workers == 1 {
+					first := int64(total)
+					if every > 0 {
+						first = int64(every * batch)
+					}
+					if dec.merged[0] != first {
+						t.Errorf("%s every=%d: first merge left %d blocks in the aggregate, want %d",
+							name, every, dec.merged[0], first)
+					}
+				}
+			}
+		}
 	}
 }
 
-// BenchmarkShardedIngest isolates the tentpole's contention win: the same
-// stream drained by the legacy locked path (every batch serializing on the
-// aggregator mutex) versus per-worker shards merged once at drain. On a
-// single CPU the two are near parity — the lock is never contended — and
-// on a multi-core runner the sharded side scales with the worker count.
+// unshardedDecoder hides EOSDecoder's NewShard.
+type unshardedDecoder struct{ Decoder }
+
+// TestIngestRejectsUnshardedDecoder: both entry points need per-worker
+// shards; a plain Decoder is an error, never a silent locked slow path.
+func TestIngestRejectsUnshardedDecoder(t *testing.T) {
+	raws := makeEOSRawBlocks(t, 8, 1)
+	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
+	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+	dec := unshardedDecoder{EOSDecoder{Agg: agg}}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
+	_, err := IngestStream(ctx, blocks, dec, IngestConfig{})
+	cancel() // the documented contract: cancel the stream after an ingest error
+	handle.Wait()
+	if err == nil || !strings.Contains(err.Error(), "not a ShardedDecoder") {
+		t.Errorf("IngestStream with an unsharded decoder: %v", err)
+	}
+	if _, err := IngestArchive(context.Background(), rd, dec, IngestConfig{}); err == nil || !strings.Contains(err.Error(), "not a ShardedDecoder") {
+		t.Errorf("IngestArchive with an unsharded decoder: %v", err)
+	}
+	if agg.Blocks != 0 {
+		t.Errorf("rejected decoder still ingested %d blocks", agg.Blocks)
+	}
+}
+
+// BenchmarkShardedIngest measures the stream drained into per-worker
+// shards merged once at drain, at two worker counts: on a multi-core
+// runner it scales with the worker count, since the hot path takes no
+// aggregator lock.
 func BenchmarkShardedIngest(b *testing.B) {
 	raws := makeEOSRawBlocks(b, 256, 8)
 	f := &memFetcher{raws}
 	ctx := context.Background()
-	for _, bench := range []struct {
-		name string
-		dec  func(*EOSAggregator) Decoder
-	}{
-		{"locked", func(a *EOSAggregator) Decoder { return lockedDecoder{EOSDecoder{Agg: a}} }},
-		{"sharded", func(a *EOSAggregator) Decoder { return EOSDecoder{Agg: a} }},
-	} {
-		for _, workers := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s-%dw", bench.name, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-					blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-					n, err := IngestStream(ctx, blocks, bench.dec(agg), IngestConfig{Workers: workers, Batch: 32})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := handle.Wait(); err != nil {
-						b.Fatal(err)
-					}
-					if n != int64(len(raws)) {
-						b.Fatalf("ingested %d", n)
-					}
+	for _, workers := range []int{2, 4} {
+		b.Run(fmt.Sprintf("sharded-%dw", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
+				blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
+				n, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: workers, Batch: 32})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if _, err := handle.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				if n != int64(len(raws)) {
+					b.Fatalf("ingested %d", n)
+				}
+			}
+		})
 	}
 }
 

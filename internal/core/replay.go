@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/archive"
 )
@@ -12,12 +10,10 @@ import (
 // IngestArchive replays an archived crawl straight into the decoder: the
 // archive's segments fan out across cfg.Workers goroutines (0 means one
 // per CPU — replay is CPU-bound, unlike a live crawl), each decoding its
-// segment's records in place and folding them into a private shard when d
-// is a ShardedDecoder. Each worker batches cfg.Batch decoded blocks
-// between shard folds so arena structs recycle in bulk; the shards merge
-// in worker order after the walk, so the whole replay takes exactly
-// cfg.Workers aggregator lock acquisitions. A non-sharded decoder falls
-// back to batched IngestBatch under the aggregator lock.
+// segment's records in place through the same per-worker loop as
+// IngestStream (see ingestWorker). d must be a ShardedDecoder. With
+// cfg.MergeEvery 0 the shards merge in worker order after the walk, so the
+// whole replay takes exactly cfg.Workers aggregator lock acquisitions.
 //
 // Compared with driving collect.Stream over the Reader's FetchBlock, this
 // path skips the per-block copy, the channel hop and the segment-cache
@@ -29,75 +25,12 @@ import (
 // It returns the number of blocks ingested and the first
 // decode/ingest/corruption error.
 func IngestArchive(ctx context.Context, rd *archive.Reader, d Decoder, cfg IngestConfig) (int64, error) {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	pool, err := newIngestPool(d, cfg.withDefaults(runtime.GOMAXPROCS(0)))
+	if err != nil {
+		return 0, err
 	}
-	batchCap := cfg.Batch
-	if batchCap <= 0 {
-		batchCap = 16
-	}
-	sharded, _ := d.(ShardedDecoder)
-	releaser, _ := d.(BatchReleaser)
-	shards := make([]Shard, workers)
-	if sharded != nil {
-		for w := range shards {
-			shards[w] = sharded.NewShard()
-		}
-	}
-	batches := make([][]any, workers)
-	for w := range batches {
-		batches[w] = make([]any, 0, batchCap)
-	}
-	var ingested int64
-	// flush folds worker w's pending batch into its shard (or the locked
-	// aggregator) and recycles the decoded structs. Called from the
-	// worker's own goroutine during the replay, and from the caller's
-	// goroutine for the remainders once Replay has returned.
-	flush := func(w int) error {
-		batch := batches[w]
-		if len(batch) == 0 {
-			return nil
-		}
-		var err error
-		if sharded != nil {
-			err = shards[w].IngestBatch(batch)
-		} else {
-			err = d.IngestBatch(batch)
-		}
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(&ingested, int64(len(batch)))
-		if releaser != nil {
-			releaser.ReleaseBatch(batch)
-		}
-		batches[w] = batch[:0]
-		return nil
-	}
-	err := rd.Replay(ctx, workers, func(w int, num int64, raw []byte) error {
-		dec, derr := d.Decode(num, raw)
-		if derr != nil {
-			return fmt.Errorf("core: decoding block %d: %w", num, derr)
-		}
-		batches[w] = append(batches[w], dec)
-		if len(batches[w]) >= batchCap {
-			return flush(w)
-		}
-		return nil
+	err = rd.Replay(ctx, len(pool), func(w int, num int64, raw []byte) error {
+		return pool[w].add(num, raw)
 	})
-	// Drain the remainders and merge the shards — in worker order, and
-	// even after an error, for parity with IngestStream's partial
-	// aggregate semantics.
-	for w := range batches {
-		if ferr := flush(w); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	for _, s := range shards {
-		if s != nil {
-			s.Merge()
-		}
-	}
-	return atomic.LoadInt64(&ingested), err
+	return pool.drain(err)
 }

@@ -17,21 +17,21 @@ import (
 // parallel diff rests on, checked here at unit scale with adversarial
 // randomization for each of the three chains.
 
-func testShardedRenders[B any, A any, S any](
+func testShardedRenders[B any, A interface {
+	IngestBatch([]any) error
+	NewState() ShardState
+	MergeState(ShardState) error
+}](
 	t *testing.T,
 	blocks []B,
 	newAgg func() A,
-	aggIngest func(A, []B) error,
-	newShard func(A) S,
-	shardIngest func(S, []B) error,
-	mergeShard func(A, S),
 	render func(A) string,
 ) {
 	t.Helper()
 	// Baseline: every block through the locked single-shard path, in one
 	// batch.
 	base := newAgg()
-	if err := aggIngest(base, blocks); err != nil {
+	if err := base.IngestBatch(asBatch(blocks)); err != nil {
 		t.Fatal(err)
 	}
 	want := render(base)
@@ -43,9 +43,9 @@ func testShardedRenders[B any, A any, S any](
 	for iter := 0; iter < 12; iter++ {
 		agg := newAgg()
 		shardCount := 1 + rng.Intn(7)
-		shards := make([]S, shardCount)
+		shards := make([]ShardState, shardCount)
 		for i := range shards {
-			shards[i] = newShard(agg)
+			shards[i] = agg.NewState()
 		}
 		// Random partition of blocks to shards…
 		assign := make([][]B, shardCount)
@@ -66,7 +66,7 @@ func testShardedRenders[B any, A any, S any](
 			if rest := len(assign[w]) - cursors[w]; n > rest {
 				n = rest
 			}
-			if err := shardIngest(shards[w], assign[w][cursors[w]:cursors[w]+n]); err != nil {
+			if err := shards[w].IngestBatch(asBatch(assign[w][cursors[w] : cursors[w]+n])); err != nil {
 				t.Fatal(err)
 			}
 			cursors[w] += n
@@ -76,7 +76,9 @@ func testShardedRenders[B any, A any, S any](
 		}
 		// Merge in random order.
 		for _, w := range rng.Perm(shardCount) {
-			mergeShard(agg, shards[w])
+			if err := agg.MergeState(shards[w]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got := render(agg); got != want {
 			t.Fatalf("iter %d (%d shards): sharded render diverged\n--- single-shard ---\n%s\n--- sharded ---\n%s",
@@ -163,10 +165,6 @@ func genEOSBlocks(n int) []*rpcserve.EOSBlockJSON {
 func TestShardedEOSRenderByteIdentical(t *testing.T) {
 	testShardedRenders(t, genEOSBlocks(64),
 		func() *EOSAggregator { return NewEOSAggregator(chain.ObservationStart, 6*time.Hour) },
-		(*EOSAggregator).IngestBlocks,
-		(*EOSAggregator).NewShard,
-		func(s *EOSShard, bs []*rpcserve.EOSBlockJSON) error { return s.IngestBatch(asBatch(bs)) },
-		(*EOSAggregator).MergeShard,
 		func(a *EOSAggregator) string { return SummarizeEOS(a).Render() },
 	)
 }
@@ -210,10 +208,6 @@ func genTezosBlocks(n int) []*rpcserve.TezosBlockJSON {
 func TestShardedTezosRenderByteIdentical(t *testing.T) {
 	testShardedRenders(t, genTezosBlocks(64),
 		func() *TezosAggregator { return NewTezosAggregator(chain.ObservationStart, 6*time.Hour) },
-		(*TezosAggregator).IngestBlocks,
-		(*TezosAggregator).NewShard,
-		func(s *TezosShard, bs []*rpcserve.TezosBlockJSON) error { return s.IngestBatch(asBatch(bs)) },
-		(*TezosAggregator).MergeShard,
 		func(a *TezosAggregator) string { return SummarizeTezos(a).Render() },
 	)
 }
@@ -269,10 +263,6 @@ func genXRPLedgers(n int) []*rpcserve.XRPLedgerJSON {
 func TestShardedXRPRenderByteIdentical(t *testing.T) {
 	testShardedRenders(t, genXRPLedgers(64),
 		func() *XRPAggregator { return NewXRPAggregator(chain.ObservationStart, 6*time.Hour) },
-		(*XRPAggregator).IngestLedgers,
-		(*XRPAggregator).NewShard,
-		func(s *XRPShard, ls []*rpcserve.XRPLedgerJSON) error { return s.IngestBatch(asBatch(ls)) },
-		(*XRPAggregator).MergeShard,
 		func(a *XRPAggregator) string { return SummarizeXRP(a).Render() },
 	)
 }

@@ -112,7 +112,7 @@ func TestShardCodecRoundTripXRP(t *testing.T) {
 // encode/decode (they feed the rate oracle behind Figure 7).
 func TestShardCodecXRPExchanges(t *testing.T) {
 	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := agg.IngestLedgers(genXRPLedgers(16)); err != nil {
+	if err := agg.IngestBatch(asBatch(genXRPLedgers(16))); err != nil {
 		t.Fatal(err)
 	}
 	agg.AddExchanges(genExchanges(8))

@@ -97,12 +97,12 @@ func TestPaymentViewsValuation(t *testing.T) {
 		Counter:   xrp.AssetKey{Currency: "XRP"},
 		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 5 * xrp.DropsPerXRP,
 	}})
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("USD", gw, 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("JNK", "rNobody", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tecUNFUNDED_PAYMENT"),
-	))
+	)})
 	views := a.PaymentViews()
 	if len(views) != 3 {
 		t.Fatalf("views: %d (failed payment must be excluded)", len(views))
@@ -150,7 +150,7 @@ func TestSpamClusterEndToEnd(t *testing.T) {
 	agg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
 	for i := int64(1); i <= st.HeadIndex(); i++ {
 		led := rpcserve.XRPLedgerToJSON(st.GetLedger(i), true)
-		if err := agg.IngestLedger(&led); err != nil {
+		if err := agg.IngestBatch([]any{&led}); err != nil {
 			t.Fatal(err)
 		}
 	}

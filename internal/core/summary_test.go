@@ -29,14 +29,14 @@ func TestChainSummaryOrderIndependent(t *testing.T) {
 
 	forward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	for _, b := range mkBlocks() {
-		if err := forward.IngestBlock(b); err != nil {
+		if err := forward.IngestBatch([]any{b}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	backward := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	blocks := mkBlocks()
 	for i := len(blocks) - 1; i >= 0; i-- {
-		if err := backward.IngestBlock(blocks[i]); err != nil {
+		if err := backward.IngestBatch([]any{blocks[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,9 +51,9 @@ func TestChainSummaryEOSContent(t *testing.T) {
 	a := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	ts := chain.ObservationStart
 	for i := 0; i < 4; i++ {
-		if err := a.IngestBlock(eosBlock(i+1, ts.Add(time.Duration(i)*time.Second),
+		if err := a.IngestBatch([]any{eosBlock(i+1, ts.Add(time.Duration(i)*time.Second),
 			[]rpcserve.EOSActionJSON{transfer("eosio.token", "alice", "bob", "1.0000 EOS")},
-		)); err != nil {
+		)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,10 +76,10 @@ func TestChainSummaryEOSContent(t *testing.T) {
 
 func TestChainSummaryTezosAndXRP(t *testing.T) {
 	tz := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := tz.IngestBlock(tezosBlock(1, chain.ObservationStart,
+	if err := tz.IngestBatch([]any{tezosBlock(1, chain.ObservationStart,
 		rpcserve.TezosOperationJSON{Kind: "endorsement", Level: 1, SlotCount: 1},
 		rpcserve.TezosOperationJSON{Kind: "transaction", Source: "tz1a", Destination: "tz1b", Amount: 5},
-	)); err != nil {
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	out := SummarizeTezos(tz).Render()
@@ -91,10 +91,10 @@ func TestChainSummaryTezosAndXRP(t *testing.T) {
 	}
 
 	x := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := x.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	if err := x.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tecUNFUNDED_PAYMENT"),
-	)); err != nil {
+	)}); err != nil {
 		t.Fatal(err)
 	}
 	xout := SummarizeXRP(x).Render()

@@ -70,24 +70,14 @@ func (s *TezosShard) init(origin time.Time, bucket time.Duration) {
 	s.sentTo = make(map[string]map[string]int64)
 }
 
-// NewShard spawns an empty shard with the aggregator's series geometry,
-// exclusively owned by the caller until MergeShard.
-func (a *TezosAggregator) NewShard() *TezosShard {
+// NewState spawns an empty shard with the aggregator's series geometry,
+// behind the ShardState contract. The caller owns it exclusively until
+// MergeState.
+func (a *TezosAggregator) NewState() ShardState {
 	s := &TezosShard{}
 	s.init(a.Series.Origin(), a.Series.Width())
 	return s
 }
-
-// MergeShard folds a privately-owned shard into the aggregator under one
-// lock acquisition and resets it.
-func (a *TezosAggregator) MergeShard(s *TezosShard) {
-	a.mu.Lock()
-	a.TezosShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the ShardState contract.
-func (a *TezosAggregator) NewState() ShardState { return a.NewShard() }
 
 // MergeState folds a compatible ShardState into the aggregator under its
 // lock.
@@ -137,32 +127,6 @@ func (s *TezosShard) merge(src *TezosShard) {
 	src.init(origin, width)
 }
 
-// IngestBlock folds one crawled block into the aggregate. Safe for
-// concurrent use.
-func (a *TezosAggregator) IngestBlock(b *rpcserve.TezosBlockJSON) error {
-	return a.IngestBlocks([]*rpcserve.TezosBlockJSON{b})
-}
-
-// IngestBlocks folds a batch of blocks under a single lock acquisition.
-// Timestamps are parsed before the lock is taken; a malformed block fails
-// the whole batch without ingesting any of it.
-func (a *TezosAggregator) IngestBlocks(bs []*rpcserve.TezosBlockJSON) error {
-	times := make([]time.Time, len(bs))
-	for i, b := range bs {
-		ts, err := time.Parse(time.RFC3339, b.Timestamp)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, b := range bs {
-		a.TezosShard.ingest(b, times[i])
-	}
-	return nil
-}
-
 // tezosBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
 func tezosBatch(batch []any) ([]*rpcserve.TezosBlockJSON, []time.Time, error) {
 	blocks := make([]*rpcserve.TezosBlockJSON, len(batch))
@@ -194,19 +158,12 @@ func (s *TezosShard) IngestBatch(batch []any) error {
 	return nil
 }
 
-// IngestBatch folds a batch of decoded blocks into the aggregator, one
-// lock acquisition for the whole batch.
+// IngestBatch folds a batch of decoded blocks into the aggregator under
+// its lock, one acquisition for the whole batch.
 func (a *TezosAggregator) IngestBatch(batch []any) error {
-	blocks, times, err := tezosBatch(batch)
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, b := range blocks {
-		a.TezosShard.ingest(b, times[i])
-	}
-	return nil
+	return a.TezosShard.IngestBatch(batch)
 }
 
 // ingest folds one block into the shard; the caller owns the shard.

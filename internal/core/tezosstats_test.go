@@ -32,7 +32,7 @@ func TestTezosAggregatorShares(t *testing.T) {
 		rpcserve.TezosOperationJSON{Kind: "seed_nonce_revelation"},
 		rpcserve.TezosOperationJSON{Kind: "delegation", Source: "tz1a", Delegate: "tz1baker"},
 	)
-	if err := a.IngestBlock(tezosBlock(2, ts, ops...)); err != nil {
+	if err := a.IngestBatch([]any{tezosBlock(2, ts, ops...)}); err != nil {
 		t.Fatal(err)
 	}
 	if a.Operations != 28 {
@@ -72,7 +72,7 @@ func TestTezosTopSendersFanOut(t *testing.T) {
 			})
 		}
 	}
-	a.IngestBlock(tezosBlock(1, ts, ops...))
+	a.IngestBatch([]any{tezosBlock(1, ts, ops...)})
 
 	top := a.TopSenders(2)
 	if top[0].Sender != "tz1airdrop" || top[0].Sent != 100 || top[0].UniqueReceivers != 100 {
@@ -90,16 +90,16 @@ func TestTezosVoteSeries(t *testing.T) {
 	a := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
 	day := 24 * time.Hour
 	base := time.Date(2019, 8, 9, 0, 0, 0, 0, time.UTC)
-	a.IngestBlock(tezosBlock(1, base,
+	a.IngestBatch([]any{tezosBlock(1, base,
 		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b1", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 500},
 		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b2", Proposal: "PsBabyM2", Ballot: "pass", Rolls: 100},
-	))
-	a.IngestBlock(tezosBlock(2, base.Add(3*day),
+	)})
+	a.IngestBatch([]any{tezosBlock(2, base.Add(3*day),
 		rpcserve.TezosOperationJSON{Kind: "ballot", Source: "tz1b3", Proposal: "PsBabyM2", Ballot: "yay", Rolls: 800},
-	))
-	a.IngestBlock(tezosBlock(3, base.Add(5*day),
+	)})
+	a.IngestBatch([]any{tezosBlock(3, base.Add(5*day),
 		rpcserve.TezosOperationJSON{Kind: "proposals", Source: "tz1b1", Proposal: "PsCarthage", Rolls: 700},
-	))
+	)})
 
 	ballots := a.VoteSeries("ballot", day)
 	if got := ballots.Total("yay"); got != 1300 {

@@ -103,24 +103,14 @@ func (s *XRPShard) init(origin time.Time, bucket time.Duration) {
 	s.restingOffers = make(map[offerRef]bool)
 }
 
-// NewShard spawns an empty shard with the aggregator's series geometry,
-// exclusively owned by the caller until MergeShard.
-func (a *XRPAggregator) NewShard() *XRPShard {
+// NewState spawns an empty shard with the aggregator's series geometry,
+// behind the ShardState contract. The caller owns it exclusively until
+// MergeState.
+func (a *XRPAggregator) NewState() ShardState {
 	s := &XRPShard{}
 	s.init(a.Series.Origin(), a.Series.Width())
 	return s
 }
-
-// MergeShard folds a privately-owned shard into the aggregator under one
-// lock acquisition and resets it.
-func (a *XRPAggregator) MergeShard(s *XRPShard) {
-	a.mu.Lock()
-	a.XRPShard.merge(s)
-	a.mu.Unlock()
-}
-
-// NewState spawns a private shard behind the ShardState contract.
-func (a *XRPAggregator) NewState() ShardState { return a.NewShard() }
 
 // MergeState folds a compatible ShardState into the aggregator under its
 // lock.
@@ -189,32 +179,6 @@ func (s *XRPShard) merge(src *XRPShard) {
 	src.init(origin, width)
 }
 
-// IngestLedger folds one crawled ledger into the aggregate. Safe for
-// concurrent use.
-func (a *XRPAggregator) IngestLedger(l *rpcserve.XRPLedgerJSON) error {
-	return a.IngestLedgers([]*rpcserve.XRPLedgerJSON{l})
-}
-
-// IngestLedgers folds a batch of ledgers under a single lock acquisition.
-// Close times are parsed before the lock is taken; a malformed ledger fails
-// the whole batch without ingesting any of it.
-func (a *XRPAggregator) IngestLedgers(ls []*rpcserve.XRPLedgerJSON) error {
-	times := make([]time.Time, len(ls))
-	for i, l := range ls {
-		ts, err := time.Parse(time.RFC3339, l.CloseTime)
-		if err != nil {
-			return err
-		}
-		times[i] = ts
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i, l := range ls {
-		a.XRPShard.ingest(l, times[i])
-	}
-	return nil
-}
-
 // xrpBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
 func xrpBatch(batch []any) ([]*rpcserve.XRPLedgerJSON, []time.Time, error) {
 	ledgers := make([]*rpcserve.XRPLedgerJSON, len(batch))
@@ -246,19 +210,12 @@ func (s *XRPShard) IngestBatch(batch []any) error {
 	return nil
 }
 
-// IngestBatch folds a batch of decoded ledgers into the aggregator, one
-// lock acquisition for the whole batch.
+// IngestBatch folds a batch of decoded ledgers into the aggregator under
+// its lock, one acquisition for the whole batch.
 func (a *XRPAggregator) IngestBatch(batch []any) error {
-	ledgers, times, err := xrpBatch(batch)
-	if err != nil {
-		return err
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for i, l := range ledgers {
-		a.XRPShard.ingest(l, times[i])
-	}
-	return nil
+	return a.XRPShard.IngestBatch(batch)
 }
 
 // ingest folds one ledger into the shard; the caller owns the shard.

@@ -40,7 +40,7 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 
 	// 10 transactions: 1 failed payment, 2 XRP payments (value), 3 IOU
 	// payments of a worthless token, 3 offers (1 executed), 1 TrustSet.
-	a.IngestLedger(xrpLedger(1, ts,
+	a.IngestBatch([]any{xrpLedger(1, ts,
 		payment("rA", "rB", xrpAmt("XRP", "", 100), "tecUNFUNDED_PAYMENT"),
 		payment("rA", "rB", xrpAmt("XRP", "", 10), "tesSUCCESS"),
 		payment("rB", "rA", xrpAmt("XRP", "", 20), "tesSUCCESS"),
@@ -54,7 +54,7 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rF", Sequence: 1,
 			Result: "tesSUCCESS", RestingSequence: 1},
 		rpcserve.XRPTxJSON{TransactionType: "TrustSet", Account: "rC", Result: "tesSUCCESS"},
-	))
+	)})
 
 	d := a.Decompose()
 	if d.Total != 10 {
@@ -85,10 +85,10 @@ func TestXRPAggregatorDecompose(t *testing.T) {
 
 func TestXRPMakerFillCountsAsExchanged(t *testing.T) {
 	a := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		rpcserve.XRPTxJSON{TransactionType: "OfferCreate", Account: "rMaker", Sequence: 7,
 			Result: "tesSUCCESS", RestingSequence: 7},
-	))
+	)})
 	d := a.Decompose()
 	if d.OffersExchanged != 0 {
 		t.Fatal("resting offer counted as exchanged prematurely")
@@ -155,7 +155,7 @@ func TestXRPTopAccountsAndDestTag(t *testing.T) {
 		DeliveredAmount: xrpAmt("XRP", "", 1),
 	})
 	txs = append(txs, payment("rSmall", "rOther", xrpAmt("XRP", "", 1), "tesSUCCESS"))
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart, txs...))
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart, txs...)})
 
 	top := a.TopAccounts(1)
 	if top[0].Account != "rHuobiBot" || top[0].Total != 99 {
@@ -183,11 +183,11 @@ func TestXRPValueFlowClusters(t *testing.T) {
 		Counter:   xrp.AssetKey{Currency: "XRP"},
 		BaseValue: 1 * xrp.DropsPerXRP, CounterValue: 5 * xrp.DropsPerXRP, // 5 XRP/USD
 	}})
-	a.IngestLedger(xrpLedger(1, chain.ObservationStart,
+	a.IngestBatch([]any{xrpLedger(1, chain.ObservationStart,
 		payment("rBinance1", "rUser1", xrpAmt("XRP", "", 1000), "tesSUCCESS"),
 		payment("rBinance2", "rUser2", xrpAmt("USD", gw, 100), "tesSUCCESS"),     // 500 XRP eq
 		payment("rNobody", "rUser3", xrpAmt("JNK", gw, 1_000_000), "tesSUCCESS"), // worthless
-	))
+	)})
 	cluster := func(addr string) string {
 		if addr == "rBinance1" || addr == "rBinance2" {
 			return "Binance"

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"time"
 
 	"repro/internal/archive"
 	"repro/internal/blobstore"
@@ -83,8 +84,9 @@ func (o Options) archiveWriter(stage, chain string) (*archive.Writer, error) {
 }
 
 // stageSource is where one stage's blocks come from and where Figure 2's
-// compressed size is read: a full replay reads rd alone, a live crawl
-// tees into sink, and a resume replays rd and tees the rest into sink.
+// compressed size is read: a full replay walks rd's segments alone (no
+// fetcher), a live crawl tees into sink, and a resume replays rd and tees
+// the rest into sink.
 type stageSource struct {
 	fetcher collect.BlockFetcher
 	rd      *archive.Reader
@@ -97,6 +99,9 @@ type stageSource struct {
 // finalize must report both (the unfinalized archive is why the next run
 // will demand a recrawl).
 func (s stageSource) crawl(ctx context.Context, ccfg collect.CrawlConfig, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
+	if s.fetcher == nil {
+		return s.replay(ctx, dec, icfg)
+	}
 	res, err := crawlInto(ctx, s.fetcher, ccfg, dec, icfg)
 	if s.sink != nil {
 		if cerr := s.sink.Close(); cerr != nil {
@@ -106,6 +111,21 @@ func (s stageSource) crawl(ctx context.Context, ccfg collect.CrawlConfig, dec co
 	if err != nil {
 		return res, err
 	}
+	res.GzipBytes = s.compressedBytes()
+	return res, nil
+}
+
+// replay folds a full-coverage stage archive in through the segment walk
+// (core.IngestArchive) and accounts for it as the live crawl that wrote
+// it did: the same Blocks, RawBytes and GzipBytes.
+func (s stageSource) replay(ctx context.Context, dec core.Decoder, icfg core.IngestConfig) (collect.CrawlResult, error) {
+	start := time.Now()
+	n, err := core.IngestArchive(ctx, s.rd, dec, icfg)
+	res := collect.CrawlResult{Blocks: n, Elapsed: time.Since(start)}
+	if err != nil {
+		return res, err
+	}
+	res.RawBytes = s.rd.RawBytes()
 	res.GzipBytes = s.compressedBytes()
 	return res, nil
 }
@@ -129,15 +149,15 @@ func (s stageSource) compressedBytes() int64 {
 	return n
 }
 
-// stageCollect resolves one stage's collection source: the archive replay
-// reader when the stage archive exactly covers [from, to], otherwise the
-// live fetcher built by live() — teed into a fresh write-through archive
-// (null:// when archiving is off), or composed with a partial archive
-// (resume) so only the missing blocks are fetched live. live() runs only
-// when live fetches are possible (a full replay skips serving and probing
-// entirely) and returns its own teardown; the caller must defer the
-// returned cleanup and run the crawl through the source's crawl method,
-// which finalizes the archive.
+// stageCollect resolves one stage's collection source: the archive's
+// segment walk when the stage archive exactly covers [from, to], otherwise
+// the live fetcher built by live() — teed into a fresh write-through
+// archive (null:// when archiving is off), or composed with a partial
+// archive (resume) so only the missing blocks are fetched live. live()
+// runs only when live fetches are possible (a full replay skips serving
+// and probing entirely) and returns its own teardown; the caller must
+// defer the returned cleanup and run the crawl through the source's crawl
+// method, which finalizes the archive.
 func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect.CrawlConfig, live func() (collect.BlockFetcher, func(), error)) (stageSource, func(), error) {
 	noop := func() {}
 	rd, partial, err := o.replayReader(stage, chain, from, to)
@@ -145,7 +165,7 @@ func (o Options) stageCollect(stage, chain string, from, to int64, ccfg *collect
 		return stageSource{}, noop, err
 	}
 	if rd != nil && !partial {
-		return stageSource{fetcher: rd, rd: rd}, noop, nil
+		return stageSource{rd: rd}, noop, nil
 	}
 	fetcher, cleanup, err := live()
 	if cleanup == nil {

@@ -62,13 +62,21 @@ func TestPipelineArchiveReplayReproducesFigures(t *testing.T) {
 	if len(replay.EndpointScores) != 0 {
 		t.Fatalf("replay run probed %d endpoints; it should not touch the network", len(replay.EndpointScores))
 	}
-	if replay.EOSCrawl.Blocks != live.EOSCrawl.Blocks ||
-		replay.TezosCrawl.Blocks != live.TezosCrawl.Blocks ||
-		replay.XRPCrawl.Blocks != live.XRPCrawl.Blocks {
-		t.Fatalf("replay crawl volumes differ: eos %d/%d tezos %d/%d xrp %d/%d",
-			replay.EOSCrawl.Blocks, live.EOSCrawl.Blocks,
-			replay.TezosCrawl.Blocks, live.TezosCrawl.Blocks,
-			replay.XRPCrawl.Blocks, live.XRPCrawl.Blocks)
+	// The segment-walk replay accounts for each stage exactly as the live
+	// crawl that wrote the archive did.
+	for name, pair := range map[string][2]collect.CrawlResult{
+		"eos":   {live.EOSCrawl, replay.EOSCrawl},
+		"tezos": {live.TezosCrawl, replay.TezosCrawl},
+		"xrp":   {live.XRPCrawl, replay.XRPCrawl},
+	} {
+		l, r := pair[0], pair[1]
+		if l.Blocks == 0 || l.RawBytes == 0 || l.GzipBytes <= 0 {
+			t.Errorf("%s live crawl accounted nothing: %+v", name, l)
+		}
+		if r.Blocks != l.Blocks || r.RawBytes != l.RawBytes || r.GzipBytes != l.GzipBytes {
+			t.Errorf("%s replay accounting differs from live: blocks %d/%d raw bytes %d/%d gzip bytes %d/%d",
+				name, r.Blocks, l.Blocks, r.RawBytes, l.RawBytes, r.GzipBytes, l.GzipBytes)
+		}
 	}
 
 	// Figure-for-figure equality over everything derived from the block

@@ -281,19 +281,21 @@ func (o Options) ingestConfig() core.IngestConfig {
 }
 
 // serveFeed wires one stage into the serving sink (when configured):
-// registers the summarize hook under the stage's chain name and switches
-// the stage's decoder to periodic shard merges so the sink's snapshots see
-// the crawl in epoch-sized increments. Without a sink the decoder passes
-// through untouched and the release is a no-op.
-func (o Options) serveFeed(name string, w core.Window, summarize func() core.ChainSummary, dec core.Decoder) (core.Decoder, func(), error) {
+// registers the summarize hook under the stage's chain name and returns
+// the stage's ingest config with periodic shard merges, so the sink's
+// snapshots see the crawl in epoch-sized increments. Without a sink the
+// config merges only at drain and the release is a no-op.
+func (o Options) serveFeed(name string, w core.Window, summarize func() core.ChainSummary) (core.IngestConfig, func(), error) {
+	icfg := o.ingestConfig()
 	if o.Serve == nil {
-		return dec, func() {}, nil
+		return icfg, func() {}, nil
 	}
 	release, err := o.Serve.Register(name, w, summarize)
 	if err != nil {
-		return nil, nil, err
+		return icfg, nil, err
 	}
-	return core.PeriodicMerge(dec, 0), release, nil
+	icfg.MergeEvery = core.SnapshotMergeEvery
+	return icfg, release, nil
 }
 
 // serve starts an HTTP server on a loopback port and returns its base URL
@@ -303,7 +305,11 @@ func serve(h http.Handler) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: h}
+	srv := &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: rpcserve.ReadHeaderTimeout,
+		MaxHeaderBytes:    rpcserve.MaxHeaderBytes,
+	}
 	go srv.Serve(ln)
 	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
@@ -375,13 +381,13 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 	}
 
 	agg := core.NewEOSAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("eos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeEOS(agg) }, core.EOSDecoder{Agg: agg})
+	icfg, releaseFeed, err := opts.serveFeed("eos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
+		func() core.ChainSummary { return core.SummarizeEOS(agg) })
 	if err != nil {
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	crawl, err := src.crawl(ctx, ccfg, core.EOSDecoder{Agg: agg}, icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -417,13 +423,13 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 	}
 
 	agg := core.NewTezosAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("tezos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, core.TezosDecoder{Agg: agg})
+	icfg, releaseFeed, err := opts.serveFeed("tezos", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
+		func() core.ChainSummary { return core.SummarizeTezos(agg) })
 	if err != nil {
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	crawl, err := src.crawl(ctx, ccfg, core.TezosDecoder{Agg: agg}, icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -463,13 +469,13 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 	// validation is per chain name, so this registers cleanly.
 	govWindow := core.Window{Origin: time.Date(2019, time.July, 17, 0, 0, 0, 0, time.UTC), Bucket: 24 * time.Hour}
 	agg := core.NewTezosAggregator(govWindow.Origin, govWindow.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("governance", govWindow,
-		func() core.ChainSummary { return core.SummarizeTezos(agg) }, core.TezosDecoder{Agg: agg})
+	icfg, releaseFeed, err := opts.serveFeed("governance", govWindow,
+		func() core.ChainSummary { return core.SummarizeTezos(agg) })
 	if err != nil {
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	crawl, err := src.crawl(ctx, ccfg, core.TezosDecoder{Agg: agg}, icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -527,13 +533,13 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 	}
 
 	agg := core.NewXRPAggregator(chain.ObservationStart, opts.Bucket)
-	dec, releaseFeed, err := opts.serveFeed("xrp", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
-		func() core.ChainSummary { return core.SummarizeXRP(agg) }, core.XRPDecoder{Agg: agg})
+	icfg, releaseFeed, err := opts.serveFeed("xrp", core.Window{Origin: chain.ObservationStart, Bucket: opts.Bucket},
+		func() core.ChainSummary { return core.SummarizeXRP(agg) })
 	if err != nil {
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, dec, opts.ingestConfig())
+	crawl, err := src.crawl(ctx, ccfg, core.XRPDecoder{Agg: agg}, icfg)
 	if err != nil {
 		return StageStats{}, err
 	}

@@ -190,7 +190,21 @@ func TestStageCollectResumesPartialArchive(t *testing.T) {
 	if replayGzip := src.compressedBytes(); resumedGzip <= 0 || replayGzip != resumedGzip {
 		t.Errorf("compressed size: resumed run %d, replay %d", resumedGzip, replayGzip)
 	}
-	if got := crawlFigures(t, src.fetcher, ccfg); got != want {
+	if src.fetcher != nil {
+		t.Fatal("pure replay built a fetcher; it should walk the archive's segments")
+	}
+	kit, err := core.NewStatsKit("eos", chain.ObservationStart, 6*time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := src.crawl(context.Background(), ccfg, kit.Decoder, core.IngestConfig{})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if res.Blocks != total || res.GzipBytes != resumedGzip {
+		t.Errorf("replay accounted %d blocks, %d compressed bytes; want %d, %d", res.Blocks, res.GzipBytes, total, resumedGzip)
+	}
+	if got := kit.Summarize().Render(); got != want {
 		t.Errorf("replay figures differ from all-live crawl\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	fx.mu.Lock()

@@ -49,39 +49,30 @@ func (s *recordingSink) Register(chain string, w core.Window, summarize func() c
 
 func TestServeFeedWiring(t *testing.T) {
 	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	base := core.Decoder(core.EOSDecoder{Agg: agg})
 	summarize := func() core.ChainSummary { return core.SummarizeEOS(agg) }
 	window := core.Window{Origin: chain.ObservationStart, Bucket: 6 * time.Hour}
 
 	t.Run("no sink passes through", func(t *testing.T) {
 		var o Options
-		dec, release, err := o.serveFeed("eos", window, summarize, base)
+		icfg, release, err := o.serveFeed("eos", window, summarize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec != base {
-			t.Fatal("decoder changed without a sink")
+		if icfg != o.ingestConfig() {
+			t.Fatalf("ingest config changed without a sink: %+v", icfg)
 		}
 		release() // must be a safe no-op
 	})
 
-	t.Run("sink wraps and releases", func(t *testing.T) {
+	t.Run("sink merges periodically and releases", func(t *testing.T) {
 		sink := newRecordingSink()
 		o := Options{Serve: sink}
-		dec, release, err := o.serveFeed("eos", window, summarize, base)
+		icfg, release, err := o.serveFeed("eos", window, summarize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if dec == base {
-			t.Fatal("decoder not wrapped for periodic merges")
-		}
-		// The wrapped decoder must keep the sharded + arena-recycling
-		// surfaces the ingest pool type-asserts for.
-		if _, ok := dec.(core.ShardedDecoder); !ok {
-			t.Fatal("wrapped decoder lost ShardedDecoder")
-		}
-		if _, ok := dec.(core.BatchReleaser); !ok {
-			t.Fatal("wrapped decoder lost BatchReleaser")
+		if icfg.MergeEvery != core.SnapshotMergeEvery {
+			t.Fatalf("served stage merges every %d batches, want %d", icfg.MergeEvery, core.SnapshotMergeEvery)
 		}
 		if sink.summarize["eos"] == nil {
 			t.Fatal("summarize hook not registered")
@@ -99,7 +90,7 @@ func TestServeFeedWiring(t *testing.T) {
 		sink := newRecordingSink()
 		sink.failOn = "eos"
 		o := Options{Serve: sink}
-		if _, _, err := o.serveFeed("eos", window, summarize, base); err == nil {
+		if _, _, err := o.serveFeed("eos", window, summarize); err == nil {
 			t.Fatal("sink error not propagated")
 		}
 	})

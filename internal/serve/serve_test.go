@@ -16,10 +16,11 @@ import (
 
 // eosBlocks builds n synthetic EOS blocks numbered start..start+n-1, each
 // carrying one token transfer, timestamped inside the paper's observation
-// window so the series buckets normally.
-func eosBlocks(n int, start int64) []*rpcserve.EOSBlockJSON {
+// window so the series buckets normally. They come as the []any batch
+// the aggregator's IngestBatch takes.
+func eosBlocks(n int, start int64) []any {
 	base := time.Date(2019, time.October, 2, 0, 0, 0, 0, time.UTC)
-	blocks := make([]*rpcserve.EOSBlockJSON, n)
+	blocks := make([]any, n)
 	for i := range blocks {
 		num := start + int64(i)
 		var trx rpcserve.EOSTrxJSON
@@ -111,7 +112,7 @@ func TestRegisterWindowMismatch(t *testing.T) {
 
 func TestReleaseMarksDrainedAndPublishes(t *testing.T) {
 	p, agg, release := newEOSPublisher(t)
-	if err := agg.IngestBlocks(eosBlocks(10, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(10, 1)); err != nil {
 		t.Fatal(err)
 	}
 	before := p.Publish()
@@ -141,7 +142,7 @@ func TestRunPublishesFinalEpochOnCancel(t *testing.T) {
 		p.Run(ctx, time.Hour) // interval never fires; only the final publish
 		close(done)
 	}()
-	if err := agg.IngestBlocks(eosBlocks(3, 1)); err != nil {
+	if err := agg.IngestBatch(eosBlocks(3, 1)); err != nil {
 		t.Fatal(err)
 	}
 	cancel()
@@ -180,7 +181,7 @@ func TestSnapshotImmutableUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < iterations; i++ {
 				// Disjoint block ranges per writer per iteration.
 				start := int64(w)*1_000_000 + int64(i)*batch + 1
-				if err := agg.IngestBlocks(eosBlocks(batch, start)); err != nil {
+				if err := agg.IngestBatch(eosBlocks(batch, start)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
