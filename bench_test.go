@@ -492,7 +492,7 @@ func BenchmarkEncodeXRP(b *testing.B) {
 func BenchmarkIngestEOSRaw(b *testing.B) {
 	raw := benchEOSRaw()
 	agg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	ing := core.NewIngestor(core.EOSDecoder{Agg: agg})
+	ing := core.NewIngestor(agg.Decoder())
 	b.ReportAllocs()
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()

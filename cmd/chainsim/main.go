@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -125,28 +126,32 @@ func main() {
 	// the chain's aggregator and report what decoded.
 	if *selfCheck > 0 {
 		ctx := context.Background()
-		check := func(name string, f collect.BlockFetcher, dec core.Decoder, head int64, workers int, txs func() int64) {
-			from := head - *selfCheck + 1
-			if from < 1 {
-				from = 1
-			}
-			res, _, err := core.IngestCrawl(ctx, f, collect.CrawlConfig{From: from, To: head, Workers: workers}, dec, core.IngestConfig{})
+		for _, c := range []struct {
+			chain, url string
+			head       int64
+		}{
+			{"eos", "http://" + eosAddr, int64(eosScenario.Chain.HeadNum())},
+			{"tezos", "http://" + tezosAddr, tezosScenario.Chain.HeadLevel()},
+			{"xrp", "ws://" + xrpAddr, xrpScenario.State.HeadIndex()},
+		} {
+			kit, err := core.NewStatsKit(c.chain, chain.ObservationStart, 6*time.Hour)
 			if err != nil {
-				fail(fmt.Errorf("%s self-check: %w", name, err))
+				fail(err)
 			}
-			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", name, res.Blocks, txs())
+			f, workers, err := collect.NewClient(c.chain, c.url, 4)
+			if err != nil {
+				fail(err)
+			}
+			from := max(c.head-*selfCheck+1, 1)
+			res, _, err := core.IngestCrawl(ctx, f, collect.CrawlConfig{From: from, To: c.head, Workers: workers}, kit.Decoder, core.IngestConfig{})
+			if closer, ok := f.(io.Closer); ok {
+				closer.Close()
+			}
+			if err != nil {
+				fail(fmt.Errorf("%s self-check: %w", c.chain, err))
+			}
+			fmt.Printf("chainsim: %s self-check: streamed %d blocks, %d txs/ops\n", c.chain, res.Blocks, kit.Txs())
 		}
-		eosAgg := core.NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		check("eos", collect.NewEOSClient("http://"+eosAddr), core.EOSDecoder{Agg: eosAgg},
-			int64(eosScenario.Chain.HeadNum()), 4, func() int64 { return eosAgg.Transactions })
-		tezosAgg := core.NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-		check("tezos", collect.NewTezosClient("http://"+tezosAddr), core.TezosDecoder{Agg: tezosAgg},
-			tezosScenario.Chain.HeadLevel(), 4, func() int64 { return tezosAgg.Operations })
-		xrpAgg := core.NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-		xrpClient := collect.NewXRPClient("ws://" + xrpAddr)
-		check("xrp", xrpClient, core.XRPDecoder{Agg: xrpAgg},
-			xrpScenario.State.HeadIndex(), 1, func() int64 { return xrpAgg.Transactions })
-		xrpClient.Close()
 	}
 
 	fmt.Printf("EOS RPC:       http://%s (head block %d)\n", eosAddr, eosScenario.Chain.HeadNum())

@@ -187,18 +187,15 @@ func workerMain(payload string, log io.Writer) int {
 		fmt.Fprintf(log, "worker: unknown chain %q\n", p.Chain)
 		return 2
 	}
-	var fetcher collect.BlockFetcher
-	switch p.Chain {
-	case "eos":
-		fetcher = collect.NewEOSClient(p.Endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(p.Endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(p.Endpoint)
-		defer client.Close()
-		fetcher = client
-		p.Workers = 1
+	fetcher, workers, err := collect.NewClient(p.Chain, p.Endpoint, p.Workers)
+	if err != nil {
+		fmt.Fprintf(log, "worker: %v\n", err)
+		return 2
 	}
+	if c, ok := fetcher.(io.Closer); ok {
+		defer c.Close()
+	}
+	p.Workers = workers
 	store, err := blobstore.Resolve(p.Store)
 	if err != nil {
 		fmt.Fprintf(log, "worker: %v\n", err)
@@ -234,11 +231,13 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 	// write diagnostics concurrently; serialize whole writes so lines
 	// interleave instead of interleaving bytes.
 	diag = &syncWriter{w: diag}
-	kit, err := core.NewStatsKit(o.chain, chain.ObservationStart, 6*time.Hour)
+	// The head client pins the run's span (PinHead below); workers build
+	// their own clients and kits. Clients connect lazily, so building it
+	// here only validates the chain name.
+	head, _, err := collect.NewClient(o.chain, o.endpoint, 1)
 	if err != nil {
 		return fmt.Errorf("unknown chain %q", o.chain)
 	}
-	_ = kit // only validates the chain name; workers build their own kits
 
 	owner := o.owner
 	if owner == "" {
@@ -293,16 +292,10 @@ func run(ctx context.Context, o coordOpts, out, diag io.Writer) error {
 		// span, never from each worker's own racing notion of "head" — and
 		// a takeover adopts the interrupted run's pin instead of this.
 		PinHead: func(ctx context.Context) (int64, error) {
-			var head collect.BlockFetcher
-			switch o.chain {
-			case "eos":
-				head = collect.NewEOSClient(o.endpoint)
-			case "tezos":
-				head = collect.NewTezosClient(o.endpoint)
-			case "xrp":
-				client := collect.NewXRPClient(o.endpoint)
-				defer client.Close()
-				head = client
+			// Close as soon as the head is read: no connection stays idle
+			// for the rest of the run.
+			if c, ok := head.(io.Closer); ok {
+				defer c.Close()
 			}
 			to, err := head.Head(ctx)
 			if err != nil {

@@ -150,18 +150,14 @@ func run(ctx context.Context, o crawlOpts, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("unknown chain %q", o.chain)
 	}
-	var fetcher collect.BlockFetcher
-	switch o.chain {
-	case "eos":
-		fetcher = collect.NewEOSClient(o.endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(o.endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(o.endpoint)
-		defer client.Close()
-		fetcher = client
-		o.workers = 1 // the WebSocket protocol is sequential per connection
+	fetcher, workers, err := collect.NewClient(o.chain, o.endpoint, o.workers)
+	if err != nil {
+		return err
 	}
+	if c, ok := fetcher.(io.Closer); ok {
+		defer c.Close()
+	}
+	o.workers = workers
 
 	from, to := o.From, o.To
 	if o.shard.Enabled() {

@@ -259,18 +259,12 @@ func replayFeeds(ctx context.Context, pub *serve.Publisher, o serveOpts, out io.
 // liveFeed crawls one chain endpoint into the publisher, optionally teeing
 // every raw block into an archive for later offline replay.
 func liveFeed(ctx context.Context, pub *serve.Publisher, o serveOpts, chainName, endpoint string, out io.Writer) error {
-	var fetcher collect.BlockFetcher
-	workers := o.workers
-	switch chainName {
-	case "eos":
-		fetcher = collect.NewEOSClient(endpoint)
-	case "tezos":
-		fetcher = collect.NewTezosClient(endpoint)
-	case "xrp":
-		client := collect.NewXRPClient(endpoint)
-		defer client.Close()
-		fetcher = client
-		workers = 1 // the WebSocket protocol is sequential per connection
+	fetcher, workers, err := collect.NewClient(chainName, endpoint, o.workers)
+	if err != nil {
+		return err
+	}
+	if c, ok := fetcher.(io.Closer); ok {
+		defer c.Close()
 	}
 
 	ccfg := collect.CrawlConfig{

@@ -1,9 +1,7 @@
 // Package collect reproduces the paper's data-collection methodology:
 // probing advertised RPC endpoints and short-listing the ones with generous
 // rate limits and stable latency (6 of 32 for EOS), then crawling block
-// history in reverse chronological order over HTTP and WebSocket while
-// accounting for the gzip-compressed footprint of everything fetched
-// (Figure 2's storage column).
+// history in reverse chronological order over HTTP and WebSocket.
 package collect
 
 import (
@@ -16,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 	"repro/internal/wsrpc"
 )
@@ -53,6 +50,23 @@ func (e rateLimitError) Error() string {
 // RetryAfter surfaces the server's pacing hint to retry.Policy, which
 // stretches its next backoff to at least this long.
 func (e rateLimitError) RetryAfter() time.Duration { return e.retryAfter }
+
+// NewClient builds the RPC client for a chain name as archive manifests and
+// -chain flags spell it, and returns the crawl worker count to use with it:
+// workers, except 1 for XRP, whose WebSocket protocol is sequential per
+// connection. A client that holds a connection implements io.Closer; the
+// caller closes it.
+func NewClient(chain, endpoint string, workers int) (BlockFetcher, int, error) {
+	switch chain {
+	case "eos":
+		return NewEOSClient(endpoint), workers, nil
+	case "tezos":
+		return NewTezosClient(endpoint), workers, nil
+	case "xrp":
+		return NewXRPClient(endpoint), 1, nil
+	}
+	return nil, 0, fmt.Errorf("collect: unknown chain %q", chain)
+}
 
 // EOSClient talks to one nodeos-style endpoint.
 type EOSClient struct {
@@ -122,21 +136,6 @@ func (c *EOSClient) FetchBlock(ctx context.Context, num int64) ([]byte, error) {
 	return c.post(ctx, "/v1/chain/get_block", map[string]any{"block_num_or_id": num})
 }
 
-// DecodeEOSBlock parses the raw JSON the server produced into a fresh,
-// caller-owned struct through the pooled wire codec. Hot-path consumers
-// that can honor the arena contract should decode into wire.GetEOSBlock
-// instead (see core.EOSDecoder).
-func DecodeEOSBlock(raw []byte) (*rpcserve.EOSBlockJSON, error) {
-	var b rpcserve.EOSBlockJSON
-	c := wire.GetCodec()
-	err := c.DecodeEOSBlock(raw, &b)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding EOS block: %w", err)
-	}
-	return &b, nil
-}
-
 // TezosClient talks to an octez-style endpoint.
 type TezosClient struct {
 	BaseURL string
@@ -197,19 +196,6 @@ func (c *TezosClient) Head(ctx context.Context) (int64, error) {
 // FetchBlock retrieves one block as raw JSON.
 func (c *TezosClient) FetchBlock(ctx context.Context, level int64) ([]byte, error) {
 	return c.get(ctx, fmt.Sprintf("/chains/main/blocks/%d", level))
-}
-
-// DecodeTezosBlock parses the raw JSON the server produced into a fresh,
-// caller-owned struct through the pooled wire codec.
-func DecodeTezosBlock(raw []byte) (*rpcserve.TezosBlockJSON, error) {
-	var b rpcserve.TezosBlockJSON
-	c := wire.GetCodec()
-	err := c.DecodeTezosBlock(raw, &b)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding Tezos block: %w", err)
-	}
-	return &b, nil
 }
 
 // XRPClient speaks the rippled WebSocket protocol over a pooled connection.
@@ -314,17 +300,4 @@ func (c *XRPClient) FetchBlock(ctx context.Context, index int64) ([]byte, error)
 		return nil, err
 	}
 	return raw, nil
-}
-
-// DecodeXRPLedger parses the ledger result envelope into a fresh,
-// caller-owned struct through the pooled wire codec.
-func DecodeXRPLedger(raw []byte) (*rpcserve.XRPLedgerJSON, error) {
-	var l rpcserve.XRPLedgerJSON
-	c := wire.GetCodec()
-	err := c.DecodeXRPLedgerResult(raw, &l)
-	wire.PutCodec(c)
-	if err != nil {
-		return nil, fmt.Errorf("collect: decoding XRP ledger: %w", err)
-	}
-	return &l, nil
 }

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/eos"
 	"repro/internal/rpcserve"
 	"repro/internal/tezos"
+	"repro/internal/wire"
 	"repro/internal/wsrpc"
 	"repro/internal/xrp"
 )
@@ -45,21 +45,39 @@ func eosTestServer(t *testing.T, nBlocks int, profile rpcserve.EndpointProfile) 
 	return httptest.NewServer(profile.Middleware(rpcserve.NewEOSServer(c)))
 }
 
+// streamEach drains a Stream crawl of f on the calling goroutine, handing
+// each block to fn (when set) before releasing it. The first fn error
+// cancels the crawl and is returned in place of the crawl's own error.
+func streamEach(ctx context.Context, f BlockFetcher, cfg CrawlConfig, fn func(num int64, raw []byte) error) (CrawlResult, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	blocks, h := Stream(ctx, f, cfg)
+	var ferr error
+	for blk := range blocks {
+		if ferr == nil && fn != nil {
+			if ferr = fn(blk.Num, blk.Raw); ferr != nil {
+				cancel()
+			}
+		}
+		blk.Release()
+	}
+	res, err := h.Wait()
+	if ferr != nil {
+		return res, ferr
+	}
+	return res, err
+}
+
 func TestCrawlEOSReverseChronological(t *testing.T) {
 	srv := eosTestServer(t, 20, rpcserve.EndpointProfile{})
 	defer srv.Close()
 
 	client := NewEOSClient(srv.URL)
-	var mu sync.Mutex
+	codec := wire.NewCodec()
 	var order []int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
-		mu.Lock()
+	res, err := streamEach(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
 		order = append(order, num)
-		mu.Unlock()
-		if _, err := DecodeEOSBlock(raw); err != nil {
-			return err
-		}
-		return nil
+		return codec.DecodeEOSBlock(raw, new(wire.EOSBlockJSON))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,9 +95,9 @@ func TestCrawlConcurrentWorkersComplete(t *testing.T) {
 	srv := eosTestServer(t, 50, rpcserve.EndpointProfile{})
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
-	var seen sync.Map
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 8}, func(num int64, raw []byte) error {
-		seen.Store(num, true)
+	seen := make(map[int64]bool)
+	res, err := streamEach(context.Background(), client, CrawlConfig{Workers: 8}, func(num int64, raw []byte) error {
+		seen[num] = true
 		return nil
 	})
 	if err != nil {
@@ -89,7 +107,7 @@ func TestCrawlConcurrentWorkersComplete(t *testing.T) {
 		t.Fatalf("blocks = %d", res.Blocks)
 	}
 	for i := int64(1); i <= 50; i++ {
-		if _, ok := seen.Load(i); !ok {
+		if !seen[i] {
 			t.Fatalf("block %d never delivered", i)
 		}
 	}
@@ -105,9 +123,9 @@ func TestCrawlSurvivesRateLimiting(t *testing.T) {
 	srv := eosTestServer(t, nBlocks, rpcserve.EndpointProfile{RatePerSec: 200, Burst: 3})
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := streamEach(context.Background(), client, CrawlConfig{
 		Workers: 4, MaxRetries: 10, Backoff: 5 * time.Millisecond,
-	}, func(int64, []byte) error { return nil })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +141,7 @@ func TestCrawlRangeValidation(t *testing.T) {
 	srv := eosTestServer(t, 3, rpcserve.EndpointProfile{})
 	defer srv.Close()
 	client := NewEOSClient(srv.URL)
-	if _, err := Crawl(context.Background(), client, CrawlConfig{From: 10, To: 5}, func(int64, []byte) error { return nil }); err == nil {
+	if _, err := streamEach(context.Background(), client, CrawlConfig{From: 10, To: 5}, nil); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }
@@ -134,7 +152,7 @@ func TestCrawlContextCancellation(t *testing.T) {
 	client := NewEOSClient(srv.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := Crawl(ctx, client, CrawlConfig{Workers: 1}, func(int64, []byte) error { return nil })
+	_, err := streamEach(ctx, client, CrawlConfig{Workers: 1}, nil)
 	if err == nil {
 		t.Fatal("cancelled crawl reported success")
 	}
@@ -157,15 +175,16 @@ func TestCrawlTezos(t *testing.T) {
 	defer srv.Close()
 
 	client := NewTezosClient(srv.URL)
+	codec := wire.NewCodec()
 	var endorsements int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
-		blk, err := DecodeTezosBlock(raw)
-		if err != nil {
+	res, err := streamEach(context.Background(), client, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
+		var blk wire.TezosBlockJSON
+		if err := codec.DecodeTezosBlock(raw, &blk); err != nil {
 			return err
 		}
 		for _, op := range blk.Operations {
 			if op.Kind == string(tezos.KindEndorsement) {
-				atomic.AddInt64(&endorsements, 1)
+				endorsements++
 			}
 		}
 		return nil
@@ -202,13 +221,14 @@ func TestCrawlXRPOverWebSocket(t *testing.T) {
 	if head != 8 {
 		t.Fatalf("head = %d", head)
 	}
-	var txs int64
-	res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
-		led, err := DecodeXRPLedger(raw)
-		if err != nil {
+	codec := wire.NewCodec()
+	var txs int
+	res, err := streamEach(context.Background(), client, CrawlConfig{Workers: 1}, func(num int64, raw []byte) error {
+		var led wire.XRPLedgerJSON
+		if err := codec.DecodeXRPLedgerResult(raw, &led); err != nil {
 			return err
 		}
-		atomic.AddInt64(&txs, int64(len(led.Transactions)))
+		txs += len(led.Transactions)
 		return nil
 	})
 	if err != nil {
@@ -216,6 +236,35 @@ func TestCrawlXRPOverWebSocket(t *testing.T) {
 	}
 	if res.Blocks != 8 || txs != 8 {
 		t.Fatalf("blocks=%d txs=%d", res.Blocks, txs)
+	}
+}
+
+// TestNewClientPerChain: each chain name gets its own client; XRP crawls
+// with one worker, the HTTP chains keep the requested count, and an unknown
+// chain is an error.
+func TestNewClientPerChain(t *testing.T) {
+	for _, tc := range []struct {
+		chain   string
+		client  BlockFetcher
+		workers int
+	}{
+		{"eos", &EOSClient{}, 6},
+		{"tezos", &TezosClient{}, 6},
+		{"xrp", &XRPClient{}, 1},
+	} {
+		f, workers, err := NewClient(tc.chain, "http://127.0.0.1:1", 6)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.chain, err)
+		}
+		if fmt.Sprintf("%T", f) != fmt.Sprintf("%T", tc.client) || workers != tc.workers {
+			t.Errorf("%s: got %T with %d workers, want %T with %d", tc.chain, f, workers, tc.client, tc.workers)
+		}
+		if c, ok := f.(io.Closer); ok {
+			c.Close()
+		}
+	}
+	if _, _, err := NewClient("btc", "http://127.0.0.1:1", 6); err == nil {
+		t.Error("NewClient accepted an unknown chain")
 	}
 }
 
@@ -256,7 +305,7 @@ func TestMultiFetcherRotates(t *testing.T) {
 	b := eosTestServer(t, 10, rpcserve.EndpointProfile{})
 	defer b.Close()
 	m := &MultiFetcher{Fetchers: []BlockFetcher{NewEOSClient(a.URL), NewEOSClient(b.URL)}}
-	res, err := Crawl(context.Background(), m, CrawlConfig{Workers: 4}, func(int64, []byte) error { return nil })
+	res, err := streamEach(context.Background(), m, CrawlConfig{Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +316,9 @@ func TestMultiFetcherRotates(t *testing.T) {
 
 func TestFetchWithRetryGivesUp(t *testing.T) {
 	client := NewEOSClient("http://127.0.0.1:1") // nothing listens
-	_, err := Crawl(context.Background(), client, CrawlConfig{
+	_, err := streamEach(context.Background(), client, CrawlConfig{
 		From: 1, To: 2, Workers: 1, MaxRetries: 1, Backoff: time.Millisecond,
-	}, func(int64, []byte) error { return nil })
+	}, nil)
 	if err == nil {
 		t.Fatal("crawl against dead endpoint succeeded")
 	}
@@ -301,9 +350,9 @@ func TestCrawlSurvivesFlakyServer(t *testing.T) {
 	defer flaky.Close()
 
 	client := NewEOSClient(flaky.URL)
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := streamEach(context.Background(), client, CrawlConfig{
 		Workers: 2, MaxRetries: 6, Backoff: time.Millisecond,
-	}, func(int64, []byte) error { return nil })
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,13 +364,14 @@ func TestCrawlSurvivesFlakyServer(t *testing.T) {
 	}
 }
 
-// TestCrawlSinkErrorPropagates: a failing sink must surface as the crawl
-// error rather than being swallowed.
+// TestCrawlSinkErrorPropagates: a failing consumer must surface as the
+// crawl error rather than being swallowed, and its cancel must still let
+// the stream close.
 func TestCrawlSinkErrorPropagates(t *testing.T) {
 	srv := eosTestServer(t, 5, rpcserve.EndpointProfile{})
 	defer srv.Close()
 	sinkErr := errors.New("sink exploded")
-	_, err := Crawl(context.Background(), NewEOSClient(srv.URL), CrawlConfig{Workers: 2},
+	_, err := streamEach(context.Background(), NewEOSClient(srv.URL), CrawlConfig{Workers: 2},
 		func(int64, []byte) error { return sinkErr })
 	if !errors.Is(err, sinkErr) {
 		t.Fatalf("err = %v, want sink error", err)
@@ -335,8 +385,7 @@ func BenchmarkCrawlThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := Crawl(context.Background(), client, CrawlConfig{Workers: 8},
-			func(int64, []byte) error { return nil })
+		res, err := streamEach(context.Background(), client, CrawlConfig{Workers: 8}, nil)
 		if err != nil || res.Blocks != 50 {
 			b.Fatalf("crawl: %+v %v", res, err)
 		}
@@ -398,11 +447,10 @@ func TestXRPClientReconnects(t *testing.T) {
 
 	client := NewXRPClient("ws" + strings.TrimPrefix(srv.URL, "http"))
 	defer client.Close()
-	res, err := Crawl(context.Background(), client, CrawlConfig{
+	res, err := streamEach(context.Background(), client, CrawlConfig{
 		Workers: 1, MaxRetries: 6, Backoff: time.Millisecond,
 	}, func(num int64, raw []byte) error {
-		_, err := DecodeXRPLedger(raw)
-		return err
+		return wire.NewCodec().DecodeXRPLedgerResult(raw, new(wire.XRPLedgerJSON))
 	})
 	if err != nil {
 		t.Fatal(err)

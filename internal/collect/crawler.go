@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,10 +39,6 @@ type CrawlConfig struct {
 	// workers block. This is the backpressure bound — a stalled consumer
 	// stops the fetch side after at most Buffer buffered blocks.
 	Buffer int
-	// Ingest is how many consumer goroutines the Crawl adapter drains the
-	// stream with (default: Workers). Stream ignores it — callers of
-	// Stream bring their own consumers.
-	Ingest int
 	// Resume, when set, pins the crawl to the checkpoint's range and skips
 	// every block the checkpoint records as delivered.
 	Resume *Checkpoint
@@ -75,49 +70,6 @@ type CrawlResult struct {
 	// Skipped counts blocks a resume checkpoint let the crawl avoid
 	// refetching.
 	Skipped int64
-}
-
-// Sink receives each fetched block. Implementations must be safe for
-// concurrent use; the crawler delivers blocks from many workers.
-type Sink func(num int64, raw []byte) error
-
-// Crawl walks the range in reverse chronological order, retrying transient
-// failures with exponential backoff and honouring rate limits, and delivers
-// every fetched block to sink. It is a thin adapter over Stream kept for
-// callers that want the old callback shape: fetched blocks flow through the
-// bounded stream and a pool of cfg.Ingest consumer goroutines (default:
-// cfg.Workers) invokes sink, so sink stalls exert backpressure on the fetch
-// side instead of blocking crawl workers directly. With one worker delivery
-// is exactly newest-first.
-func Crawl(ctx context.Context, f BlockFetcher, cfg CrawlConfig, sink Sink) (CrawlResult, error) {
-	consumers := cfg.Ingest
-	if consumers <= 0 {
-		consumers = cfg.Workers
-	}
-	if consumers <= 0 {
-		consumers = 4
-	}
-
-	blocks, handle := Stream(ctx, f, cfg)
-	var wg sync.WaitGroup
-	var sinkErr atomic.Value
-	for i := 0; i < consumers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for blk := range blocks {
-				if err := sink(blk.Num, blk.Raw); err != nil {
-					sinkErr.CompareAndSwap(nil, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	res, err := handle.Wait()
-	if serr, ok := sinkErr.Load().(error); ok && serr != nil {
-		return res, serr
-	}
-	return res, err
 }
 
 // retryPolicy maps a CrawlConfig onto the shared retry policy: MaxRetries

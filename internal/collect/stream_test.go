@@ -464,20 +464,3 @@ func TestStreamTeeErrorAfterFetchError(t *testing.T) {
 		t.Fatal("crawl with fetch and tee failures reported success")
 	}
 }
-
-// TestCrawlAdapterMatchesStream: the callback adapter must report the same
-// accounting as the stream it wraps.
-func TestCrawlAdapterMatchesStream(t *testing.T) {
-	f := newMemFetcher(40, 0)
-	var delivered int64
-	res, err := Crawl(context.Background(), f, CrawlConfig{Workers: 3}, func(num int64, raw []byte) error {
-		atomic.AddInt64(&delivered, 1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks != 40 || delivered != 40 {
-		t.Fatalf("blocks=%d delivered=%d, want 40/40", res.Blocks, delivered)
-	}
-}

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -280,31 +279,10 @@ func eosBlockTime(s string) (time.Time, error) {
 	return time.Parse("2006-01-02T15:04:05.000", s)
 }
 
-// eosBatch asserts and pre-parses an ingest-pool batch: every element must
-// be the EOS Decode output type, and timestamps parse before any state is
-// touched, so a malformed block fails the whole batch without ingesting
-// any of it.
-func eosBatch(batch []any) ([]*rpcserve.EOSBlockJSON, []time.Time, error) {
-	blocks := make([]*rpcserve.EOSBlockJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		b, ok := v.(*rpcserve.EOSBlockJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: eos batch element %d is %T, not *rpcserve.EOSBlockJSON", i, v)
-		}
-		ts, err := eosBlockTime(b.Timestamp)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[i], times[i] = b, ts
-	}
-	return blocks, times, nil
-}
-
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *EOSShard) IngestBatch(batch []any) error {
-	blocks, times, err := eosBatch(batch)
+	blocks, times, err := typedBatch(batch, func(b *rpcserve.EOSBlockJSON) (time.Time, error) { return eosBlockTime(b.Timestamp) })
 	if err != nil {
 		return err
 	}

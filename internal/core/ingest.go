@@ -8,13 +8,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/collect"
-	"repro/internal/rpcserve"
 	"repro/internal/wire"
 )
 
 // Ingestor consumes raw crawled payloads chain-agnostically: one method,
-// whatever the chain. Its signature matches collect.Sink, so an Ingestor's
-// IngestRaw plugs directly into the callback-style collect.Crawl as well.
+// whatever the chain.
 type Ingestor interface {
 	IngestRaw(num int64, raw []byte) error
 }
@@ -22,8 +20,8 @@ type Ingestor interface {
 // Decoder splits ingestion into its two costs so they can be scheduled
 // separately: Decode is the CPU-bound, lock-free parse of one wire payload,
 // and IngestBatch folds a batch of decoded blocks into the aggregator under
-// a single lock acquisition. Implementations exist per chain (EOSDecoder,
-// TezosDecoder, XRPDecoder); Decode must be safe for concurrent use.
+// a single lock acquisition. Each aggregator's Decoder method returns one;
+// Decode must be safe for concurrent use.
 type Decoder interface {
 	Decode(num int64, raw []byte) (any, error)
 	IngestBatch(batch []any) error
@@ -83,50 +81,78 @@ func (i decoderIngestor) IngestRaw(num int64, raw []byte) error {
 	return nil
 }
 
-// EOSDecoder drives an EOSAggregator from raw nodeos-style block JSON.
-type EOSDecoder struct{ Agg *EOSAggregator }
+// chainAggregator is what the ingest pool needs from a chain's
+// aggregator: a locked batch fold, fresh per-worker shard states and the
+// merge of a drained state back in.
+type chainAggregator interface {
+	IngestBatch(batch []any) error
+	NewState() ShardState
+	MergeState(ShardState) error
+}
 
-// Decode parses one raw EOS block into an arena struct through the pooled
-// wire codec; ReleaseBatch recycles it after ingestion.
-func (d EOSDecoder) Decode(num int64, raw []byte) (any, error) {
-	b := wire.GetEOSBlock()
+// chainDecoder is the one Decoder: it drives a chain's aggregator from raw
+// wire payloads, decoding each into an arena struct of type B through the
+// pooled wire codec. The chains differ only in the arena get/put pair and
+// the codec method, which each aggregator's Decoder method supplies.
+type chainDecoder[B any] struct {
+	agg    chainAggregator
+	what   string // "EOS block", "Tezos block", "XRP ledger": names the chain in errors
+	get    func() *B
+	put    func(*B)
+	decode func(c *wire.Codec, raw []byte, into *B) error
+}
+
+// Decoder returns the EOS ingest-pool decoder over raw nodeos block JSON.
+func (a *EOSAggregator) Decoder() ShardedDecoder {
+	return &chainDecoder[wire.EOSBlockJSON]{a, "EOS block", wire.GetEOSBlock, wire.PutEOSBlock, (*wire.Codec).DecodeEOSBlock}
+}
+
+// Decoder returns the Tezos ingest-pool decoder over raw octez block JSON.
+func (a *TezosAggregator) Decoder() ShardedDecoder {
+	return &chainDecoder[wire.TezosBlockJSON]{a, "Tezos block", wire.GetTezosBlock, wire.PutTezosBlock, (*wire.Codec).DecodeTezosBlock}
+}
+
+// Decoder returns the XRP ingest-pool decoder over raw rippled ledger
+// result envelopes.
+func (a *XRPAggregator) Decoder() ShardedDecoder {
+	return &chainDecoder[wire.XRPLedgerJSON]{a, "XRP ledger", wire.GetXRPLedger, wire.PutXRPLedger, (*wire.Codec).DecodeXRPLedgerResult}
+}
+
+// Decode parses one raw payload into an arena struct; ReleaseBatch
+// recycles it after ingestion.
+func (d *chainDecoder[B]) Decode(num int64, raw []byte) (any, error) {
+	b := d.get()
 	c := wire.GetCodec()
-	err := c.DecodeEOSBlock(raw, b)
+	err := d.decode(c, raw, b)
 	wire.PutCodec(c)
 	if err != nil {
-		wire.PutEOSBlock(b)
-		return nil, fmt.Errorf("core: decoding EOS block: %w", err)
+		d.put(b)
+		return nil, fmt.Errorf("core: decoding %s: %w", d.what, err)
 	}
 	return b, nil
 }
 
 // IngestBatch folds decoded blocks into the aggregator, one lock for the
 // whole batch.
-func (d EOSDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
+func (d *chainDecoder[B]) IngestBatch(batch []any) error { return d.agg.IngestBatch(batch) }
 
 // ReleaseBatch returns decoded blocks to the wire arena.
-func (d EOSDecoder) ReleaseBatch(batch []any) {
+func (d *chainDecoder[B]) ReleaseBatch(batch []any) {
 	for _, b := range batch {
-		wire.PutEOSBlock(b.(*rpcserve.EOSBlockJSON))
+		d.put(b.(*B))
 	}
 }
 
-// NewShard hands one ingest worker a private EOS shard.
-func (d EOSDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
-}
-
-// stateMerger is the aggregator half of the generic shard sink: every
-// chain's aggregator folds a drained ShardState in under its own lock.
-type stateMerger interface {
-	MergeState(ShardState) error
+// NewShard hands one ingest worker a private shard of the aggregator.
+func (d *chainDecoder[B]) NewShard() Shard {
+	return &stateSink{agg: d.agg, state: d.agg.NewState()}
 }
 
 // stateSink adapts the chain-agnostic ShardState contract to the ingest
-// pool's Shard interface — the one sink implementation all three chains
-// share, replacing the per-chain copies the decoders used to carry.
+// pool's Shard interface: a worker folds into its private state and merges
+// it into the aggregator under the aggregator's lock.
 type stateSink struct {
-	agg   stateMerger
+	agg   chainAggregator
 	state ShardState
 }
 
@@ -139,72 +165,6 @@ func (s *stateSink) Merge() {
 	if err := s.agg.MergeState(s.state); err != nil {
 		panic(err)
 	}
-}
-
-// TezosDecoder drives a TezosAggregator from raw octez-style block JSON.
-type TezosDecoder struct{ Agg *TezosAggregator }
-
-// Decode parses one raw Tezos block into an arena struct through the
-// pooled wire codec; ReleaseBatch recycles it after ingestion.
-func (d TezosDecoder) Decode(num int64, raw []byte) (any, error) {
-	b := wire.GetTezosBlock()
-	c := wire.GetCodec()
-	err := c.DecodeTezosBlock(raw, b)
-	wire.PutCodec(c)
-	if err != nil {
-		wire.PutTezosBlock(b)
-		return nil, fmt.Errorf("core: decoding Tezos block: %w", err)
-	}
-	return b, nil
-}
-
-// IngestBatch folds decoded blocks into the aggregator, one lock for the
-// whole batch.
-func (d TezosDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
-
-// ReleaseBatch returns decoded blocks to the wire arena.
-func (d TezosDecoder) ReleaseBatch(batch []any) {
-	for _, b := range batch {
-		wire.PutTezosBlock(b.(*rpcserve.TezosBlockJSON))
-	}
-}
-
-// NewShard hands one ingest worker a private Tezos shard.
-func (d TezosDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
-}
-
-// XRPDecoder drives an XRPAggregator from raw rippled ledger envelopes.
-type XRPDecoder struct{ Agg *XRPAggregator }
-
-// Decode parses one raw ledger result envelope into an arena struct
-// through the pooled wire codec; ReleaseBatch recycles it after ingestion.
-func (d XRPDecoder) Decode(num int64, raw []byte) (any, error) {
-	l := wire.GetXRPLedger()
-	c := wire.GetCodec()
-	err := c.DecodeXRPLedgerResult(raw, l)
-	wire.PutCodec(c)
-	if err != nil {
-		wire.PutXRPLedger(l)
-		return nil, fmt.Errorf("core: decoding XRP ledger: %w", err)
-	}
-	return l, nil
-}
-
-// IngestBatch folds decoded ledgers into the aggregator, one lock for the
-// whole batch.
-func (d XRPDecoder) IngestBatch(batch []any) error { return d.Agg.IngestBatch(batch) }
-
-// ReleaseBatch returns decoded ledgers to the wire arena.
-func (d XRPDecoder) ReleaseBatch(batch []any) {
-	for _, l := range batch {
-		wire.PutXRPLedger(l.(*rpcserve.XRPLedgerJSON))
-	}
-}
-
-// NewShard hands one ingest worker a private XRP shard.
-func (d XRPDecoder) NewShard() Shard {
-	return &stateSink{agg: d.Agg, state: d.Agg.NewState()}
 }
 
 // IngestConfig sizes the decode/ingest pool behind IngestStream and

@@ -67,7 +67,7 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 64, 3)
 
 	one := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	ing := NewIngestor(EOSDecoder{Agg: one})
+	ing := NewIngestor(one.Decoder())
 	for i, raw := range raws {
 		if err := ing.IngestRaw(int64(i+1), raw); err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func TestIngestStreamMatchesPerBlockIngest(t *testing.T) {
 
 	batched := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 4, Buffer: 8})
-	n, err := IngestStream(context.Background(), blocks, EOSDecoder{Agg: batched}, IngestConfig{Workers: 3, Batch: 5})
+	n, err := IngestStream(context.Background(), blocks, batched.Decoder(), IngestConfig{Workers: 3, Batch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func (s *countingShard) Merge() {
 func TestIngestStreamBatches(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 96, 1)
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := &countingDecoder{ShardedDecoder: EOSDecoder{Agg: agg}}
+	dec := &countingDecoder{ShardedDecoder: agg.Decoder()}
 	blocks, handle := collect.Stream(context.Background(), &memFetcher{raws}, collect.CrawlConfig{Workers: 2, Buffer: 32})
 	if _, err := IngestStream(context.Background(), blocks, dec, IngestConfig{Workers: 1, Batch: 16}); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestIngestStreamDecodeErrorStops(t *testing.T) {
 	defer cancel()
 	blocks, handle := collect.Stream(ctx, &memFetcher{raws}, collect.CrawlConfig{Workers: 1, Buffer: 2})
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	_, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: 1, Batch: 4})
+	_, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 1, Batch: 4})
 	if err == nil {
 		t.Fatal("corrupt block ingested without error")
 	}
@@ -202,7 +202,7 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 		t.Fatal(err)
 	}
 	tezosAgg := NewTezosAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(TezosDecoder{Agg: tezosAgg}).IngestRaw(7, tezosRaw); err != nil {
+	if err := NewIngestor(tezosAgg.Decoder()).IngestRaw(7, tezosRaw); err != nil {
 		t.Fatal(err)
 	}
 	if tezosAgg.Blocks != 1 || tezosAgg.Operations != 1 {
@@ -212,7 +212,7 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	xrpRaw := []byte(fmt.Sprintf(`{"ledger":{"ledger_index":3,"close_time_human":%q,"transactions":[{"TransactionType":"Payment","Account":"rAlice","Destination":"rBob","meta_TransactionResult":"tesSUCCESS","Amount":{"currency":"XRP","value":5}}]}}`,
 		chain.ObservationStart.Format(time.RFC3339)))
 	xrpAgg := NewXRPAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(XRPDecoder{Agg: xrpAgg}).IngestRaw(3, xrpRaw); err != nil {
+	if err := NewIngestor(xrpAgg.Decoder()).IngestRaw(3, xrpRaw); err != nil {
 		t.Fatal(err)
 	}
 	if xrpAgg.Ledgers != 1 || xrpAgg.Transactions != 1 {
@@ -220,8 +220,51 @@ func TestDecodersRoundTripAllChains(t *testing.T) {
 	}
 
 	eosAgg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	if err := NewIngestor(EOSDecoder{Agg: eosAgg}).IngestRaw(1, []byte(`not json`)); err == nil {
+	if err := NewIngestor(eosAgg.Decoder()).IngestRaw(1, []byte(`not json`)); err == nil {
 		t.Fatal("EOS decoder accepted garbage")
+	}
+}
+
+// TestStatsKitPerChain: each chain name builds a kit whose Decoder feeds
+// the ingest pool (sharded and arena-releasing) and names its chain in
+// decode errors, and a standalone ShardState of that chain; an unknown
+// chain is an error on both constructors.
+func TestStatsKitPerChain(t *testing.T) {
+	for _, name := range []string{"eos", "tezos", "xrp"} {
+		t.Run(name, func(t *testing.T) {
+			kit, err := NewStatsKit(name, chain.ObservationStart, 6*time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := kit.Decoder.(ShardedDecoder); !ok {
+				t.Errorf("%T is not a ShardedDecoder", kit.Decoder)
+			}
+			if _, ok := kit.Decoder.(BatchReleaser); !ok {
+				t.Errorf("%T is not a BatchReleaser", kit.Decoder)
+			}
+			if _, err := kit.Decoder.Decode(1, []byte(`{"truncated`)); err == nil || !strings.Contains(strings.ToLower(err.Error()), name) {
+				t.Errorf("malformed payload: error %v does not name %s", err, name)
+			}
+			if err := kit.Decoder.IngestBatch([]any{"not a block"}); err == nil || !strings.Contains(err.Error(), "batch element 0 is string") {
+				t.Errorf("foreign batch element: %v", err)
+			}
+			if got := kit.State().Chain(); got != name {
+				t.Errorf("kit state chain = %q", got)
+			}
+			st, err := NewShardState(name, chain.ObservationStart, 6*time.Hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Chain() != name {
+				t.Errorf("NewShardState(%q).Chain() = %q", name, st.Chain())
+			}
+		})
+	}
+	if _, err := NewStatsKit("btc", chain.ObservationStart, 6*time.Hour); err == nil {
+		t.Error("NewStatsKit accepted an unknown chain")
+	}
+	if _, err := NewShardState("btc", chain.ObservationStart, 6*time.Hour); err == nil {
+		t.Error("NewShardState accepted an unknown chain")
 	}
 }
 
@@ -252,7 +295,7 @@ func TestIngestMergeEvery(t *testing.T) {
 		for _, workers := range []int{1, 3} {
 			for _, every := range []int{0, 3} {
 				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-				dec := &countingDecoder{ShardedDecoder: EOSDecoder{Agg: agg}, observe: func() int64 {
+				dec := &countingDecoder{ShardedDecoder: agg.Decoder(), observe: func() int64 {
 					agg.mu.Lock()
 					defer agg.mu.Unlock()
 					return agg.Blocks
@@ -296,7 +339,7 @@ func TestIngestMergeEvery(t *testing.T) {
 	}
 }
 
-// unshardedDecoder hides EOSDecoder's NewShard.
+// unshardedDecoder hides the chain decoder's NewShard.
 type unshardedDecoder struct{ Decoder }
 
 // TestIngestRejectsUnshardedDecoder: both entry points need per-worker
@@ -305,7 +348,7 @@ func TestIngestRejectsUnshardedDecoder(t *testing.T) {
 	raws := makeEOSRawBlocks(t, 8, 1)
 	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	dec := unshardedDecoder{EOSDecoder{Agg: agg}}
+	dec := unshardedDecoder{agg.Decoder()}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -338,7 +381,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 				blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-				n, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: workers, Batch: 32})
+				n, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: workers, Batch: 32})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -353,33 +396,20 @@ func BenchmarkShardedIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamIngest tracks the decoupling win in the perf trajectory:
-// the same 256-block EOS history ingested through the legacy callback Sink
-// (decode + per-block lock inside the crawl callback) versus the streaming
-// path (bounded stream into a decode pool with batched lock acquisitions).
+// BenchmarkStreamIngest tracks the streaming path in the perf trajectory: a
+// 256-block EOS history through a bounded stream into the decode pool, each
+// worker folding batches into its own shard.
 func BenchmarkStreamIngest(b *testing.B) {
 	raws := makeEOSRawBlocks(b, 256, 8)
 	f := &memFetcher{raws}
 	ctx := context.Background()
-
-	b.Run("callback-sink", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-			ing := NewIngestor(EOSDecoder{Agg: agg})
-			res, err := collect.Crawl(ctx, f, collect.CrawlConfig{Workers: 4}, ing.IngestRaw)
-			if err != nil || res.Blocks != int64(len(raws)) {
-				b.Fatalf("crawl: %+v %v", res, err)
-			}
-		}
-	})
 
 	b.Run("stream-batched", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 			blocks, handle := collect.Stream(ctx, f, collect.CrawlConfig{Workers: 4, Buffer: 64})
-			n, err := IngestStream(ctx, blocks, EOSDecoder{Agg: agg}, IngestConfig{Workers: 2, Batch: 32})
+			n, err := IngestStream(ctx, blocks, agg.Decoder(), IngestConfig{Workers: 2, Batch: 32})
 			if err != nil {
 				b.Fatal(err)
 			}

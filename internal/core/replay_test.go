@@ -44,7 +44,7 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 	streamAgg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 	res, _, err := IngestCrawl(context.Background(), rd, collect.CrawlConfig{
 		From: rd.From(), To: rd.To(), Workers: 3,
-	}, EOSDecoder{Agg: streamAgg}, IngestConfig{Workers: 2, Batch: 8})
+	}, streamAgg.Decoder(), IngestConfig{Workers: 2, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestIngestArchiveMatchesStreamIngest(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4, 7} {
 		agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-		n, err := IngestArchive(context.Background(), rd, EOSDecoder{Agg: agg}, IngestConfig{Workers: workers, Batch: 8})
+		n, err := IngestArchive(context.Background(), rd, agg.Decoder(), IngestConfig{Workers: workers, Batch: 8})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -75,7 +75,7 @@ func TestIngestArchiveDecodeError(t *testing.T) {
 	raws[7] = []byte(`{broken`)
 	rd := writeRawArchive(t, t.TempDir(), "eos", raws)
 	agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-	n, err := IngestArchive(context.Background(), rd, EOSDecoder{Agg: agg}, IngestConfig{Workers: 2})
+	n, err := IngestArchive(context.Background(), rd, agg.Decoder(), IngestConfig{Workers: 2})
 	if err == nil {
 		t.Fatal("corrupt payload replayed without error")
 	}
@@ -107,7 +107,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 			agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
 			res, _, err := IngestCrawl(ctx, rd, collect.CrawlConfig{
 				From: rd.From(), To: rd.To(), Workers: 4, MaxRetries: 1,
-			}, EOSDecoder{Agg: agg}, IngestConfig{Workers: 2, Batch: 32})
+			}, agg.Decoder(), IngestConfig{Workers: 2, Batch: 32})
 			if err != nil || res.Blocks != int64(len(raws)) {
 				b.Fatalf("stream replay: %+v %v", res, err)
 			}
@@ -119,7 +119,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 			b.SetBytes(bytes)
 			for i := 0; i < b.N; i++ {
 				agg := NewEOSAggregator(chain.ObservationStart, 6*time.Hour)
-				n, err := IngestArchive(ctx, rd, EOSDecoder{Agg: agg}, IngestConfig{Workers: workers, Batch: 32})
+				n, err := IngestArchive(ctx, rd, agg.Decoder(), IngestConfig{Workers: workers, Batch: 32})
 				if err != nil || n != int64(len(raws)) {
 					b.Fatalf("segment walk: %d %v", n, err)
 				}

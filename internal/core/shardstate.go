@@ -121,22 +121,32 @@ type ShardState interface {
 // serialized, so an emitted shard decodes against the coordinator's own
 // tables.
 func NewShardState(chainName string, origin time.Time, bucket time.Duration) (ShardState, error) {
-	switch chainName {
-	case "eos":
-		s := &EOSShard{}
-		s.applyDefaultTables()
-		s.init(origin, bucket)
-		return s, nil
-	case "tezos":
-		s := &TezosShard{}
-		s.init(origin, bucket)
-		return s, nil
-	case "xrp":
-		s := &XRPShard{}
-		s.init(origin, bucket)
-		return s, nil
+	kit, err := NewStatsKit(chainName, origin, bucket)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: unknown chain %q", chainName)
+	return kit.State(), nil
+}
+
+// typedBatch asserts and pre-parses an ingest-pool batch: every element
+// must be the chain's Decode output type *B, and stamp parses each block's
+// timestamp before any state is touched, so a malformed block fails the
+// whole batch without ingesting any of it.
+func typedBatch[B any](batch []any, stamp func(*B) (time.Time, error)) ([]*B, []time.Time, error) {
+	blocks := make([]*B, len(batch))
+	times := make([]time.Time, len(batch))
+	for i, v := range batch {
+		b, ok := v.(*B)
+		if !ok {
+			return nil, nil, fmt.Errorf("core: batch element %d is %T, not %T", i, v, b)
+		}
+		ts, err := stamp(b)
+		if err != nil {
+			return nil, nil, err
+		}
+		blocks[i], times[i] = b, ts
+	}
+	return blocks, times, nil
 }
 
 // mergeAsShard is the shared front half of every chain's ShardState.Merge:

@@ -56,7 +56,7 @@ func NewStatsKit(chain string, origin time.Time, bucket time.Duration) (StatsKit
 		agg := NewEOSAggregator(origin, bucket)
 		return StatsKit{
 			Chain:     chain,
-			Decoder:   EOSDecoder{Agg: agg},
+			Decoder:   agg.Decoder(),
 			Txs:       func() int64 { return agg.Transactions },
 			Summarize: func() ChainSummary { return SummarizeEOS(agg) },
 			State:     func() ShardState { return &agg.EOSShard },
@@ -65,7 +65,7 @@ func NewStatsKit(chain string, origin time.Time, bucket time.Duration) (StatsKit
 		agg := NewTezosAggregator(origin, bucket)
 		return StatsKit{
 			Chain:     chain,
-			Decoder:   TezosDecoder{Agg: agg},
+			Decoder:   agg.Decoder(),
 			Txs:       func() int64 { return agg.Operations },
 			Summarize: func() ChainSummary { return SummarizeTezos(agg) },
 			State:     func() ShardState { return &agg.TezosShard },
@@ -74,7 +74,7 @@ func NewStatsKit(chain string, origin time.Time, bucket time.Duration) (StatsKit
 		agg := NewXRPAggregator(origin, bucket)
 		return StatsKit{
 			Chain:     chain,
-			Decoder:   XRPDecoder{Agg: agg},
+			Decoder:   agg.Decoder(),
 			Txs:       func() int64 { return agg.Transactions },
 			Summarize: func() ChainSummary { return SummarizeXRP(agg) },
 			State:     func() ShardState { return &agg.XRPShard },

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -127,28 +126,10 @@ func (s *TezosShard) merge(src *TezosShard) {
 	src.init(origin, width)
 }
 
-// tezosBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
-func tezosBatch(batch []any) ([]*rpcserve.TezosBlockJSON, []time.Time, error) {
-	blocks := make([]*rpcserve.TezosBlockJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		b, ok := v.(*rpcserve.TezosBlockJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: tezos batch element %d is %T, not *rpcserve.TezosBlockJSON", i, v)
-		}
-		ts, err := time.Parse(time.RFC3339, b.Timestamp)
-		if err != nil {
-			return nil, nil, err
-		}
-		blocks[i], times[i] = b, ts
-	}
-	return blocks, times, nil
-}
-
 // IngestBatch folds a batch of decoded blocks into a privately-owned shard
 // — no locking; the shard's owner is the only writer.
 func (s *TezosShard) IngestBatch(batch []any) error {
-	blocks, times, err := tezosBatch(batch)
+	blocks, times, err := typedBatch(batch, func(b *rpcserve.TezosBlockJSON) (time.Time, error) { return time.Parse(time.RFC3339, b.Timestamp) })
 	if err != nil {
 		return err
 	}

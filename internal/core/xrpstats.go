@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -179,28 +178,10 @@ func (s *XRPShard) merge(src *XRPShard) {
 	src.init(origin, width)
 }
 
-// xrpBatch asserts and pre-parses an ingest-pool batch (see eosBatch).
-func xrpBatch(batch []any) ([]*rpcserve.XRPLedgerJSON, []time.Time, error) {
-	ledgers := make([]*rpcserve.XRPLedgerJSON, len(batch))
-	times := make([]time.Time, len(batch))
-	for i, v := range batch {
-		l, ok := v.(*rpcserve.XRPLedgerJSON)
-		if !ok {
-			return nil, nil, fmt.Errorf("core: xrp batch element %d is %T, not *rpcserve.XRPLedgerJSON", i, v)
-		}
-		ts, err := time.Parse(time.RFC3339, l.CloseTime)
-		if err != nil {
-			return nil, nil, err
-		}
-		ledgers[i], times[i] = l, ts
-	}
-	return ledgers, times, nil
-}
-
 // IngestBatch folds a batch of decoded ledgers into a privately-owned
 // shard — no locking; the shard's owner is the only writer.
 func (s *XRPShard) IngestBatch(batch []any) error {
-	ledgers, times, err := xrpBatch(batch)
+	ledgers, times, err := typedBatch(batch, func(l *rpcserve.XRPLedgerJSON) (time.Time, error) { return time.Parse(time.RFC3339, l.CloseTime) })
 	if err != nil {
 		return err
 	}

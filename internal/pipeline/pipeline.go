@@ -387,7 +387,7 @@ func (r *Result) runEOS(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, core.EOSDecoder{Agg: agg}, icfg)
+	crawl, err := src.crawl(ctx, ccfg, agg.Decoder(), icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -429,7 +429,7 @@ func (r *Result) runTezos(ctx context.Context, opts Options, pool *collect.Pool)
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, core.TezosDecoder{Agg: agg}, icfg)
+	crawl, err := src.crawl(ctx, ccfg, agg.Decoder(), icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -475,7 +475,7 @@ func (r *Result) runGovernance(ctx context.Context, opts Options, pool *collect.
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, core.TezosDecoder{Agg: agg}, icfg)
+	crawl, err := src.crawl(ctx, ccfg, agg.Decoder(), icfg)
 	if err != nil {
 		return StageStats{}, err
 	}
@@ -539,7 +539,7 @@ func (r *Result) runXRP(ctx context.Context, opts Options, pool *collect.Pool) (
 		return StageStats{}, err
 	}
 	defer releaseFeed()
-	crawl, err := src.crawl(ctx, ccfg, core.XRPDecoder{Agg: agg}, icfg)
+	crawl, err := src.crawl(ctx, ccfg, agg.Decoder(), icfg)
 	if err != nil {
 		return StageStats{}, err
 	}

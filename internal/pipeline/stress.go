@@ -17,10 +17,10 @@ import (
 // airdrop week at a hotter arrival rate (the scale divisor is cut to a
 // quarter of the EOS stage's default, i.e. roughly 4x the per-block
 // traffic), serves it over the nodeos RPC, and drives the whole history
-// through the streaming ingestion API — collect.Stream into
-// core.EOSDecoder under core.IngestStream. Its wall-clock and pipeline TPS
-// land in Result.StageMetrics next to the built-in stages, so the stress
-// replay's throughput is tracked by the same StageTimings table.
+// through the streaming ingestion API — collect.Stream into the EOS
+// aggregator's Decoder under core.IngestStream. Its wall-clock and
+// pipeline TPS land in Result.StageMetrics next to the built-in stages, so
+// the stress replay's throughput is tracked by the same StageTimings table.
 //
 // The stage composes the two extension points this package exposes: the
 // scheduler knows nothing about it (ExtraStages), and the measurement side
@@ -63,7 +63,7 @@ func EIDOSStressStage(o StageOptions, opts Options) Stage {
 			agg := core.NewEOSAggregator(chain.EIDOSLaunch, 6*time.Hour)
 			crawl, err := crawlInto(ctx, collect.NewEOSClient(url), collect.CrawlConfig{
 				Workers: opts.Workers, Pool: opts.Pool, Buffer: opts.Buffer,
-			}, core.EOSDecoder{Agg: agg}, opts.ingestConfig())
+			}, agg.Decoder(), opts.ingestConfig())
 			if err != nil {
 				return StageStats{}, err
 			}

@@ -35,7 +35,7 @@ type eosGetAccountRequest struct {
 
 func (s *EOSServer) getAccount(w http.ResponseWriter, r *http.Request) {
 	var req eosGetAccountRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body")
 		return
 	}
@@ -69,7 +69,7 @@ type eosGetBalanceRequest struct {
 
 func (s *EOSServer) getCurrencyBalance(w http.ResponseWriter, r *http.Request) {
 	var req eosGetBalanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body")
 		return
 	}
@@ -85,6 +85,12 @@ func (s *EOSServer) getCurrencyBalance(w http.ResponseWriter, r *http.Request) {
 	}
 	bal := s.Chain.Tokens().Balance(code, holder, req.Symbol)
 	writeJSON(w, []string{bal.String()})
+}
+
+// decodeBody JSON-decodes a request body of at most MaxBodyBytes into v; a
+// longer body fails the decode.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes)).Decode(v)
 }
 
 // ServeHTTP implements http.Handler.
@@ -136,7 +142,7 @@ func BlockToJSON(b *eos.Block) EOSBlockJSON {
 
 func (s *EOSServer) getBlock(w http.ResponseWriter, r *http.Request) {
 	var req eosGetBlockRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}

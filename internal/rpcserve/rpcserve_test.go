@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,6 +65,42 @@ func TestEOSServerErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET get_block -> %d", resp.StatusCode)
+	}
+}
+
+// TestEOSServerBoundsRequestBody: a get_block body past MaxBodyBytes is
+// refused with a 4xx before it is read in full, and a normal one still
+// returns the block.
+func TestEOSServerBoundsRequestBody(t *testing.T) {
+	c := eos.New(eos.DefaultConfig(1000))
+	c.ProduceBlock()
+	srv := httptest.NewServer(NewEOSServer(c))
+	defer srv.Close()
+
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/v1/chain/get_block", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	oversized := `{"pad": "` + strings.Repeat("x", MaxBodyBytes) + `", "block_num_or_id": 1}`
+	if code, _ := post(oversized); code < 400 || code >= 500 {
+		t.Errorf("oversized get_block body -> %d, want 4xx", code)
+	}
+	code, raw := post(`{"block_num_or_id": 1}`)
+	if code != http.StatusOK {
+		t.Fatalf("normal get_block -> %d: %s", code, raw)
+	}
+	var blk EOSBlockJSON
+	if err := json.Unmarshal(raw, &blk); err != nil || blk.BlockNum != 1 {
+		t.Fatalf("normal get_block body: block %d, err %v", blk.BlockNum, err)
 	}
 }
 
